@@ -14,8 +14,10 @@
 // architecture adds over single-node HCC.
 //
 // Functionally each node behaves exactly like one HCC worker against the
-// global server (pull Q, train the node's slice, push a per-item-weighted
-// delta), so the functional path reuses core::Server / core::TrainWorker.
+// global server (pull Q, `local_epochs` passes over the node's slice, push
+// a per-item-weighted delta), so the functional path is core::TrainingLoop
+// with one worker per node — the same epoch engine, recovery and rollback
+// as HccMf.
 #pragma once
 
 #include <cstdint>
@@ -29,30 +31,24 @@
 
 namespace hcc::cluster {
 
-/// Configuration of a hierarchical run.
-struct HierarchicalConfig {
-  mf::SgdConfig sgd;
-  comm::CommConfig comm;           ///< used at both levels (FP16 etc.)
+/// Configuration of a hierarchical run: the shared TrainingOptions plus the
+/// cluster fields.  `comm` is used at both levels (FP16 etc.);
+/// `host_threads` are the functional ASGD threads per node.  `exec` runs
+/// the global epoch: kSerial iterates the nodes on one thread, kParallel
+/// runs each node's pull/train/push on its own thread against a striped
+/// global server — the closest functional analogue of real cluster nodes.
+/// `fault` is elastic membership at cluster scope: kill events address
+/// *nodes*, `join:w<N>@e<E>` re-admits one, chaos transport events drive
+/// each node's link to the global server, and node death (kill or an
+/// exhausted link) triggers repartition + checkpoint rollback.
+struct HierarchicalConfig : core::TrainingOptions {
   ClusterSpec cluster;
   std::uint32_t local_epochs = 1;  ///< node-local epochs per global epoch
   core::DataManagerOptions manager;
   std::string dataset_name;
-  std::uint32_t host_threads = 0;  ///< functional ASGD threads per node
-  /// Execution mode of the functional global epoch (see
-  /// core/epoch_executor.hpp): kSerial iterates nodes on one thread in the
-  /// legacy order; kParallel runs each node's pull/train/push pipeline on
-  /// its own thread against a striped global server — the closest
-  /// functional analogue of real cluster nodes working concurrently.
-  core::ExecOptions exec;
-  /// Cache-aware visit order for each node's slice (see data/schedule.hpp);
-  /// kAsIs (default) keeps the legacy bit-identical trajectory.
-  data::ScheduleOptions schedule;
-  /// Elastic membership + fault tolerance at cluster scope: kill events
-  /// address *nodes*, `join:w<N>@e<E>` re-admits one, chaos transport
-  /// events drive each node's link to the global server, and node death
-  /// (kill or exhausted link) triggers repartition + checkpoint rollback.
-  /// Defaults keep the trainer bit-identical to the pre-elastic behavior.
-  fault::FaultOptions fault;
+
+  /// The shared checks plus the cluster's own (empty = valid).
+  std::vector<core::ConfigError> validate() const;
 };
 
 /// Per-global-epoch timing decomposition.
@@ -77,6 +73,7 @@ struct ClusterReport {
   std::vector<std::uint32_t> dead_nodes;    ///< ids, in order of death
   std::vector<std::uint32_t> joined_nodes;  ///< ids, in order of (re)join
   std::uint64_t recoveries = 0;             ///< node deaths survived
+  std::uint64_t rollbacks = 0;              ///< divergence rollbacks
 };
 
 /// Two-level HCC-MF.

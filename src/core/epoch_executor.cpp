@@ -162,10 +162,9 @@ void EpochExecutor::run_epoch(std::vector<TrainWorker>& workers,
                               float lr, float reg_p, float reg_q,
                               util::ThreadPool* pool) {
   if (options_.mode == ExecMode::kSerial) {
-    // The legacy interleaved loop, preserved verbatim: for each chunk, all
-    // pulls, then all computes, then all pushes, in worker order.  Merge
-    // order (and thus float arithmetic order) is exactly the pre-executor
-    // trajectory — the determinism contract behind kSerial.
+    // For each chunk, all pulls, then all computes, then all pushes, in
+    // worker order: one fixed merge (and float arithmetic) order — the
+    // determinism contract behind kSerial.
     std::uint32_t max_streams = 1;
     for (auto& w : workers) {
       if (alive[w.id()]) w.prepare_epoch();

@@ -5,25 +5,26 @@
 // the server merge (Eq. 3's T_sync) either overlapped or hidden.  This
 // executor provides the two execution modes behind that claim:
 //
-//  - kSerial   reproduces the original single-host-thread loop exactly —
-//              workers interleave phase by phase, chunk by chunk, in worker
-//              order.  The training trajectory is bit-identical to the
-//              pre-executor code, which is why it stays the default.
+//  - kSerial   runs every worker on one host thread, interleaved phase by
+//              phase, chunk by chunk, in worker order — deterministic, which
+//              is why it stays the default (tests/golden_trajectory_test.cpp
+//              pins its trajectories).
 //  - kParallel gives each worker a dedicated thread running its *entire*
 //              chunked pipeline independently (per-worker pipelines, in the
 //              HogWild / FPSGD tradition adapted to our parameter-server
 //              shape).  Workers join at an epoch barrier; exceptions
 //              (fault::WorkerFault, fault::DivergenceError) are captured
 //              per thread and the highest-priority one is rethrown at the
-//              barrier, so HccMf::train's recovery/rollback paths work
-//              unchanged.
+//              barrier, so the training loop's recovery/rollback paths
+//              (core/training_loop.hpp) serve both modes.
 //
 // Under kParallel the Server's Q is partitioned into row-range stripes with
 // per-stripe mutexes (see core/server.hpp) so merges from different workers
-// proceed concurrently instead of serializing the whole T_sync term, and
-// each worker may double-buffer its local Q so chunk c+1's pull overlaps
-// chunk c's compute (the copy-engine overlap of Strategy 3, done with a
-// prefetch thread — see core/worker.hpp).
+// proceed concurrently instead of serializing the whole T_sync term.
+//
+// The workers are the devices of one node under HccMf and whole nodes under
+// cluster::HierarchicalHcc; a node's local epochs are SGD passes inside its
+// chunk (TrainWorker::set_passes), so one engine runs both.
 #pragma once
 
 #include <condition_variable>
@@ -46,7 +47,7 @@ class TrainWorker;
 
 /// How one functional epoch executes across the workers.
 enum class ExecMode : std::uint8_t {
-  kSerial,    ///< legacy interleaved loop, one host thread, deterministic
+  kSerial,    ///< interleaved loop, one host thread, deterministic
   kParallel,  ///< per-worker pipeline threads + striped server merge
 };
 
@@ -55,12 +56,8 @@ struct ExecOptions {
   ExecMode mode = ExecMode::kSerial;
   /// Q stripes for the server merge under kParallel (0 = auto: 8 per
   /// worker, clamped to the item count).  kSerial always runs 1 stripe so
-  /// the merge arithmetic order is exactly the legacy order.
+  /// the merge arithmetic order is the worker order.
   std::uint32_t stripes = 0;
-  /// Double-buffer each worker's local Q under kParallel so chunk c+1's
-  /// pull (on a prefetch thread) overlaps chunk c's compute.  Only takes
-  /// effect for workers with pipeline depth >= 2.
-  bool double_buffer = true;
   /// Pin each worker's pipeline thread to a CPU (round-robin over the
   /// online set) under kParallel.  With pinning on, the worker's lazily
   /// sized buffers are first-touched on the thread that will stream them
@@ -72,8 +69,7 @@ struct ExecOptions {
   /// deque; a worker that drains its own deque steals from the tail of the
   /// fullest peer's, so a mid-epoch straggler sheds its backlog instead of
   /// holding the epoch barrier.  Supersedes the per-worker stream pipeline
-  /// (one pull, a chunk-drain loop, one push per epoch).  Off by default:
-  /// the non-stealing pipelines stay bit-identical to pre-steal builds.
+  /// (one pull, a chunk-drain loop, one push per epoch).  Off by default.
   bool steal = false;
   /// Target ratings per chunk under `steal` (0 = auto: assigned_nnz / 16
   /// per worker, rescaled every epoch by the worker's measured
@@ -109,17 +105,16 @@ class EpochExecutor {
   const ExecOptions& options() const noexcept { return options_; }
 
   /// One full functional epoch over `workers`:
-  ///  - kSerial: the legacy loop — for each chunk, all pulls, then all
-  ///    computes, then all pushes, in worker order (bit-identical).
+  ///  - kSerial: for each chunk, all pulls, then all computes, then all
+  ///    pushes, in worker order.
   ///  - kParallel: each alive worker's TrainWorker::run_pipeline on its
   ///    dedicated thread, joined at the epoch barrier.
   void run_epoch(std::vector<TrainWorker>& workers,
                  const std::vector<bool>& alive, Server& server, float lr,
                  float reg_p, float reg_q, util::ThreadPool* pool);
 
-  /// The generic barrier primitive behind kParallel (public for tests and
-  /// for callers with non-TrainWorker work units, e.g. the cluster layer's
-  /// node pipelines): runs fn(i) for every i with alive[i] on worker i's
+  /// The generic barrier primitive behind kParallel (public for tests):
+  /// runs fn(i) for every i with alive[i] on worker i's
   /// dedicated thread and blocks until all checked in.  Exceptions are
   /// captured per worker; after the barrier the highest-priority one is
   /// rethrown — fault::WorkerFault outranks fault::DivergenceError

@@ -22,9 +22,7 @@
 #include "comm/strategy.hpp"
 #include "core/adaptive.hpp"
 #include "core/data_manager.hpp"
-#include "core/epoch_executor.hpp"
-#include "core/server.hpp"
-#include "core/worker.hpp"
+#include "core/training_loop.hpp"
 #include "data/datasets.hpp"
 #include "data/schedule.hpp"
 #include "fault/plan.hpp"
@@ -35,38 +33,9 @@
 
 namespace hcc::core {
 
-/// What HccMfConfig::validate() can object to.
-enum class ConfigErrorCode {
-  kNoWorkers,
-  kZeroLatentDim,
-  kZeroEpochs,
-  kBadLearnRate,
-  kBadRegularization,
-  kBadDecay,
-  kZeroStreams,
-  kBadAdaptiveGain,
-  kBadDeadlineFactor,
-  kBadBackoff,
-  kZeroCheckpointCadence,
-  kBadTileKb,
-  kStealNeedsParallel,
-  kBadHeartbeat,
-  kBadTransportTimeout,
-  kZeroReconnectBudget,
-  kBadTransportLink,
-  kPublishNeedsRegistry,
-  kBadPipelineDepth,
-};
-
-struct ConfigError {
-  ConfigErrorCode code;
-  std::string message;
-};
-
-/// Everything configurable about a run.
-struct HccMfConfig {
-  mf::SgdConfig sgd;
-  comm::CommConfig comm;
+/// Everything configurable about a run: the shared TrainingOptions (sgd,
+/// comm, host_threads, exec, schedule, fault) plus the node-level fields.
+struct HccMfConfig : TrainingOptions {
   PartitionStrategy partition = PartitionStrategy::kAuto;
   sim::PlatformSpec platform;
   DataManagerOptions manager;
@@ -74,17 +43,6 @@ struct HccMfConfig {
   /// ...; scaled names like "netflix@0.05" match their base).  Empty uses
   /// the analytic device model.
   std::string dataset_name;
-  /// Host threads for the functional workers' ASGD (0 = single-threaded).
-  std::uint32_t host_threads = 0;
-  /// How the functional epoch executes across workers (see
-  /// core/epoch_executor.hpp): kSerial (default) keeps the bit-identical
-  /// deterministic single-thread trajectory; kParallel runs each worker's
-  /// pipeline on its own thread against a striped server.
-  ExecOptions exec;
-  /// Cache-aware visit order for each worker's slice (see
-  /// data/schedule.hpp): kAsIs (default) is a guaranteed no-op keeping the
-  /// legacy bit-identical trajectory; kShuffled/kTiled reorder per epoch.
-  data::ScheduleOptions schedule;
   /// Evaluate test RMSE after every epoch (functional runs only).
   bool evaluate_each_epoch = true;
 
@@ -96,12 +54,6 @@ struct HccMfConfig {
   /// emulating throttling / co-tenancy (1.0 = nominal; empty = none).
   std::function<double(std::uint32_t epoch, std::size_t worker)>
       rate_disturbance;
-
-  /// Fault tolerance (see fault/plan.hpp and docs/fault_tolerance.md):
-  /// scripted failure injection, checkpointing, detection and recovery.
-  /// Defaults leave the wire format and training trajectory bit-identical
-  /// to a build without the subsystem.
-  fault::FaultOptions fault;
 
   /// Online serving (src/serve/, docs/serving.md): when `snapshots` is set
   /// and `publish_every` > 0, train() publishes an immutable snapshot of
@@ -115,8 +67,8 @@ struct HccMfConfig {
   std::shared_ptr<serve::SnapshotRegistry> snapshots;
 
   /// Checks the whole config once and returns every violation (empty =
-  /// valid).  train()/simulate() call this and throw std::invalid_argument
-  /// with the joined messages on the first violation.
+  /// valid).  train()/simulate() throw std::invalid_argument with the
+  /// joined messages when there is any.
   std::vector<ConfigError> validate() const;
 };
 
@@ -194,7 +146,6 @@ class HccMf {
   const HccMfConfig& config() const noexcept { return config_; }
 
  private:
-  sim::DatasetShape shape_of(const data::RatingMatrix& m) const;
   /// `injector` (optional) composes scripted stalls/kills into the virtual
   /// timing path: a killed worker's share redistributes from its death
   /// epoch, a stalled worker's rates drop by its stall factor.

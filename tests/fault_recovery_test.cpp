@@ -85,6 +85,26 @@ TEST(FaultRecovery, KilledWorkerIsAbsorbedAndTrainingConverges) {
               baseline.epochs.back().test_rmse, 0.01);
 }
 
+TEST(FaultRecovery, DeathOfTheOnlyWorkerRethrows) {
+  // Nobody is left to absorb the dead worker's rows: the run must fail
+  // loudly instead of finishing with every rating dropped.
+  const SmallProblem pr = netflix_small();
+  HccMfConfig config = base_config(pr.spec);
+  config.platform.workers.resize(1);
+  config.fault.plan = fault::FaultPlan::parse("kill:w0@e2");
+  HccMf framework(config);
+  EXPECT_THROW((void)framework.train(pr.train, &pr.test), fault::WorkerFault);
+}
+
+TEST(FaultRecovery, DeathOfTheLastSurvivorRethrows) {
+  const SmallProblem pr = netflix_small();
+  HccMfConfig config = base_config(pr.spec);
+  config.platform.workers.resize(2);
+  config.fault.plan = fault::FaultPlan::parse("kill:w0@e1;kill:w1@e3");
+  HccMf framework(config);
+  EXPECT_THROW((void)framework.train(pr.train, &pr.test), fault::WorkerFault);
+}
+
 TEST(FaultRecovery, CorruptPayloadHealsViaRetryBitIdentically) {
   const SmallProblem pr = netflix_small();
 
