@@ -54,13 +54,4 @@ inline float sgd_update_dispatch(float* p, float* q, std::uint32_t k, float r,
   return simd::kernels().sgd_update(p, q, k, r, lr, reg_p, reg_q);
 }
 
-/// Dispatched counterpart of sgd_update_with_error (see model.hpp): the
-/// factor-update half with a caller-supplied error, for biased models.
-inline void sgd_update_with_error_dispatch(float* p, float* q,
-                                           std::uint32_t k, float err,
-                                           float lr, float reg_p,
-                                           float reg_q) noexcept {
-  simd::kernels().sgd_update_with_error(p, q, k, err, lr, reg_p, reg_q);
-}
-
 }  // namespace hcc::mf

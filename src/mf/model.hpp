@@ -99,18 +99,4 @@ inline float sgd_update(float* p, float* q, std::uint32_t k, float r,
   return err;
 }
 
-/// The factor-update half of sgd_update with a caller-supplied error —
-/// used by models whose prediction adds terms beyond <p, q> (see
-/// mf/biased.hpp), which must fold those terms into `err` themselves.
-inline void sgd_update_with_error(float* p, float* q, std::uint32_t k,
-                                  float err, float lr, float reg_p,
-                                  float reg_q) noexcept {
-  for (std::uint32_t f = 0; f < k; ++f) {
-    const float pf = p[f];
-    const float qf = q[f];
-    p[f] = pf + lr * (err * qf - reg_p * pf);
-    q[f] = qf + lr * (err * pf - reg_q * qf);
-  }
-}
-
 }  // namespace hcc::mf

@@ -65,11 +65,6 @@ struct KernelTable {
   float (*sgd_update)(float* p, float* q, std::uint32_t k, float r, float lr,
                       float reg_p, float reg_q) noexcept = nullptr;
 
-  /// The factor-update half with a caller-supplied error (biased models).
-  void (*sgd_update_with_error)(float* p, float* q, std::uint32_t k,
-                                float err, float lr, float reg_p,
-                                float reg_q) noexcept = nullptr;
-
   /// sum(v[i]^2) accumulated in double (objective's regularizer norms).
   double (*sum_squares)(const float* v, std::size_t n) noexcept = nullptr;
 

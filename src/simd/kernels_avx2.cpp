@@ -325,7 +325,6 @@ const KernelTable& avx2_kernels() noexcept {
       dot_avx2,
       score_block_avx2,
       sgd_update_avx2,
-      sgd_apply_avx2,
       sum_squares_avx2,
       all_finite_avx2,
       fp16_encode_avx2,

@@ -305,7 +305,6 @@ const KernelTable& avx512_kernels() noexcept {
       dot_avx512,
       score_block_avx512,
       sgd_update_avx512,
-      sgd_apply_avx512,
       sum_squares_avx512,
       all_finite_avx512,
       fp16_encode_avx512,

@@ -230,7 +230,6 @@ const KernelTable& neon_kernels() noexcept {
       dot_neon,
       score_block_neon,
       sgd_update_neon,
-      sgd_apply_neon,
       sum_squares_neon,
       all_finite_neon,
       fp16_encode_neon,

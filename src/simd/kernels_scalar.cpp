@@ -14,7 +14,6 @@ const KernelTable& scalar_kernels() noexcept {
       detail::scalar_dot,
       detail::scalar_score_block,
       detail::scalar_sgd_update,
-      detail::scalar_sgd_apply,
       detail::scalar_sum_squares,
       detail::scalar_all_finite,
       detail::scalar_fp16_encode,

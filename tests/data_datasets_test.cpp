@@ -131,6 +131,28 @@ TEST(Generator, PopularitySkewIsZipfLike) {
   EXPECT_GT(static_cast<double>(head), 0.5 * static_cast<double>(m.nnz()));
 }
 
+TEST(Generator, PlantedBiasesWidenRatingSpread) {
+  DatasetSpec spec = movielens20m_spec().scaled(0.002);
+  GeneratorConfig plain_gen;
+  plain_gen.seed = 10;
+  GeneratorConfig biased_gen = plain_gen;
+  biased_gen.user_bias_stddev = 1.0f;
+  biased_gen.item_bias_stddev = 1.0f;
+
+  auto spread = [](const RatingMatrix& m) {
+    double mean = 0.0;
+    for (const auto& e : m.entries()) mean += e.r;
+    mean /= static_cast<double>(m.nnz());
+    double var = 0.0;
+    for (const auto& e : m.entries()) {
+      var += (e.r - mean) * (e.r - mean);
+    }
+    return var / static_cast<double>(m.nnz());
+  };
+  EXPECT_GT(spread(generate(spec, biased_gen)),
+            spread(generate(spec, plain_gen)));
+}
+
 TEST(TrainTestSplit, PartitionsAllEntries) {
   DatasetSpec spec = movielens20m_spec().scaled(0.001);
   GeneratorConfig config;

@@ -32,7 +32,6 @@ TEST(Dispatch, EveryAvailableTableIsComplete) {
     EXPECT_STREQ(table->name, isa_name(isa));
     EXPECT_NE(table->dot, nullptr) << isa_name(isa);
     EXPECT_NE(table->sgd_update, nullptr) << isa_name(isa);
-    EXPECT_NE(table->sgd_update_with_error, nullptr) << isa_name(isa);
     EXPECT_NE(table->sum_squares, nullptr) << isa_name(isa);
     EXPECT_NE(table->all_finite, nullptr) << isa_name(isa);
     EXPECT_NE(table->fp16_encode, nullptr) << isa_name(isa);

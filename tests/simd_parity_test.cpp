@@ -229,30 +229,6 @@ TEST(SimdParity, SgdUpdateTracksScalarOverManySteps) {
   }
 }
 
-TEST(SimdParity, SgdUpdateWithErrorMatchesScalar) {
-  const KernelTable* scalar = kernels_for(Isa::kScalar);
-  for (const std::uint32_t k : kRanks) {
-    for (const KernelTable* table : available_tables()) {
-      auto p_ref = random_floats(k, 41);
-      auto q_ref = random_floats(k, 42);
-      auto p = p_ref;
-      auto q = q_ref;
-      scalar->sgd_update_with_error(p_ref.data(), q_ref.data(), k, 0.7f,
-                                    0.01f, 0.02f, 0.03f);
-      table->sgd_update_with_error(p.data(), q.data(), k, 0.7f, 0.01f,
-                                   0.02f, 0.03f);
-      for (std::uint32_t f = 0; f < k; ++f) {
-        // One step, same inputs: only the multiply/FMA contraction of a
-        // single update separates the results.
-        EXPECT_LE(ulp_distance(p[f], p_ref[f]), 4.0)
-            << table->name << " k=" << k << " f=" << f;
-        EXPECT_LE(ulp_distance(q[f], q_ref[f]), 4.0)
-            << table->name << " k=" << k << " f=" << f;
-      }
-    }
-  }
-}
-
 TEST(SimdParity, SgdUpdateToleratesMisalignedRows) {
   // Model rows are 64-byte aligned in production, but the kernel contract
   // is unaligned-safe; shift both rows off alignment and compare.
