@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
   config.exec.stripes =
       static_cast<std::uint32_t>(cli.get("stripes", std::int64_t{0}));
   config.exec.pin_threads = cli.get("pin", false);
-  // Work stealing across nodes (parallel mode, local_epochs == 1): drained
-  // nodes take chunks from the slowest node's queue mid-epoch.
+  // Work stealing across nodes (parallel mode, local_epochs == 1; train()
+  // rejects other combinations): drained nodes take chunks from the
+  // slowest node's queue mid-epoch.
   config.exec.steal = cli.get("steal", false);
   config.exec.chunk_ratings =
       static_cast<std::uint32_t>(cli.get("chunk", std::int64_t{0}));

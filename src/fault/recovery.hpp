@@ -11,8 +11,9 @@
 // re-split across the survivors proportionally to their (renormalized)
 // shares, the global model rolls back to the last consistent checkpoint,
 // and training continues degraded.  FaultRuntime bundles the injector,
-// options and tallies HccMf threads through the stack, and resolves its
-// obs counters lazily so fault-free runs leave the registry untouched.
+// options and tallies the training loop threads through the stack, and
+// resolves its obs counters lazily so fault-free runs leave the registry
+// untouched.
 #pragma once
 
 #include <cstdint>
