@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace hcc::data {
 
@@ -67,18 +68,27 @@ std::vector<GridRange> make_grid(const RatingMatrix& matrix, GridKind kind,
   return grid;
 }
 
-std::vector<RatingMatrix> assign_slices(RatingMatrix matrix, GridKind kind,
+namespace {
+
+/// Workers under a column grid treat columns as rows.
+RowSort row_sort_of(GridKind kind) {
+  return kind == GridKind::kColumn ? RowSort::kTransposed
+                                   : RowSort::kRowColumn;
+}
+
+}  // namespace
+
+std::vector<RatingMatrix> assign_slices(const RatingMatrix& matrix,
+                                        GridKind kind,
                                         const std::vector<GridRange>& grid) {
-  if (kind == GridKind::kColumn) {
-    matrix = matrix.transposed();
-  }
-  matrix.sort_by_row();
-  std::vector<RatingMatrix> slices;
-  slices.reserve(grid.size());
-  for (const auto& range : grid) {
-    slices.push_back(matrix.slice_rows(range.begin, range.end));
-  }
-  return slices;
+  std::vector<std::uint32_t> ends;
+  ends.reserve(grid.size());
+  for (const auto& range : grid) ends.push_back(range.end);
+  return sort_rows(matrix, row_sort_of(kind), ends);
+}
+
+RatingMatrix grid_ordered(const RatingMatrix& matrix, GridKind kind) {
+  return std::move(sort_rows(matrix, row_sort_of(kind)).front());
 }
 
 }  // namespace hcc::data

@@ -46,11 +46,20 @@ struct GridRange {
 std::vector<GridRange> make_grid(const RatingMatrix& matrix, GridKind kind,
                                  const std::vector<double>& fractions);
 
-/// Materializes each worker's training slice.  For a row grid the matrix is
-/// sorted by row and sliced; coordinates stay global.  For a column grid the
-/// same happens on the transposed matrix (workers then treat columns as
-/// rows, matching the paper's "switch to Transmitting P only" remark).
-std::vector<RatingMatrix> assign_slices(RatingMatrix matrix, GridKind kind,
+/// Materializes each worker's training slice: the ratings of its range in
+/// (row, item) order, coordinates global.  One sort_rows() call scatters
+/// straight into the slices, so the input is only read — no sorted or
+/// transposed copy of it is built.  For a column grid each rating is read
+/// transposed (workers then treat columns as rows, matching the paper's
+/// "switch to Transmitting P only" remark).  `grid` must tile the rows (or
+/// columns), as make_grid()'s does.
+std::vector<RatingMatrix> assign_slices(const RatingMatrix& matrix,
+                                        GridKind kind,
                                         const std::vector<GridRange>& grid);
+
+/// All of `matrix` in the order assign_slices() gives its slices — under a
+/// column grid, transposed — as one matrix: the training facades evaluate
+/// their test ratings in this order, so each evaluation streams P rows.
+RatingMatrix grid_ordered(const RatingMatrix& matrix, GridKind kind);
 
 }  // namespace hcc::data

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace hcc::data {
 
@@ -56,17 +59,7 @@ void RatingMatrix::permute(std::span<const std::uint32_t> perm) {
 }
 
 void RatingMatrix::sort_by_row() {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const Rating& a, const Rating& b) {
-                     return a.u != b.u ? a.u < b.u : a.i < b.i;
-                   });
-}
-
-void RatingMatrix::sort_by_col() {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const Rating& a, const Rating& b) {
-                     return a.i != b.i ? a.i < b.i : a.u < b.u;
-                   });
+  *this = std::move(sort_rows(*this, RowSort::kRowColumn).front());
 }
 
 std::vector<std::size_t> RatingMatrix::row_counts() const {
@@ -100,22 +93,103 @@ RatingMatrix RatingMatrix::slice_rows(std::uint32_t row_begin,
   return RatingMatrix(rows_, cols_, std::vector<Rating>(lo, hi));
 }
 
-CsrIndex::CsrIndex(const RatingMatrix& matrix) {
-  offsets_.assign(matrix.rows() + 1, 0);
-  for (const auto& e : matrix.entries()) ++offsets_[e.u + 1];
-  for (std::size_t r = 1; r < offsets_.size(); ++r) {
-    offsets_[r] += offsets_[r - 1];
+namespace {
+
+/// A rating with the coordinates `kOrder` sorts by.
+template <RowSort kOrder>
+Rating keyed(const Rating& e) {
+  if constexpr (kOrder == RowSort::kTransposed) {
+    return Rating{e.i, e.u, e.r};
+  } else {
+    return e;
   }
-#ifndef NDEBUG
-  // Sorted-by-row precondition: entries of row r must occupy exactly
-  // [offsets_[r], offsets_[r+1]).
-  const auto entries = matrix.entries();
-  for (std::uint32_t r = 0; r < matrix.rows(); ++r) {
-    for (std::size_t idx = offsets_[r]; idx < offsets_[r + 1]; ++idx) {
-      assert(entries[idx].u == r && "CsrIndex requires sort_by_row()");
+}
+
+template <RowSort kOrder>
+std::vector<RatingMatrix> sort_rows_as(
+    const RatingMatrix& matrix, std::span<const std::uint32_t> range_ends) {
+  constexpr bool kFlip = kOrder == RowSort::kTransposed;
+  const std::span<const Rating> src = matrix.entries();
+  const std::uint32_t rows = kFlip ? matrix.cols() : matrix.rows();
+  const std::uint32_t cols = kFlip ? matrix.rows() : matrix.cols();
+  if (range_ends.empty()) range_ends = {&rows, 1};
+  if (range_ends.back() != rows) {
+    throw std::invalid_argument("sort_rows: the last range must end at row " +
+                                std::to_string(rows));
+  }
+
+  // Row counts, and each column's start for the column pass (kRow: none).
+  std::vector<std::size_t> row_nnz(rows, 0);
+  std::vector<std::size_t> col_start(kOrder == RowSort::kRow ? 0 : cols + 1, 0);
+  for (const Rating& e : src) {
+    const Rating k = keyed<kOrder>(e);
+    ++row_nnz[k.u];
+    if constexpr (kOrder != RowSort::kRow) ++col_start[k.i + 1];
+  }
+
+  // Each row's write cursor inside the vector of the range that holds it.
+  std::vector<std::vector<Rating>> out(range_ends.size());
+  std::vector<Rating*> cursor(rows);
+  std::uint32_t row = 0;
+  for (std::size_t r = 0; r < range_ends.size(); ++r) {
+    if (range_ends[r] < row) {
+      throw std::invalid_argument("sort_rows: range ends must ascend");
+    }
+    std::size_t n = 0;
+    for (std::uint32_t u = row; u < range_ends[r]; ++u) n += row_nnz[u];
+    out[r].resize(n);
+    Rating* at = out[r].data();
+    for (; row < range_ends[r]; ++row) {
+      cursor[row] = at;
+      at += row_nnz[row];
     }
   }
-#endif
+  if constexpr (kOrder == RowSort::kRow) {
+    for (const Rating& e : src) *cursor[e.u]++ = e;
+  } else {
+    // Column pass: each rating's row and value, bucketed by column in input
+    // order (the bucket is the column).  Sequential reads and one write
+    // stream per column.
+    struct RowValue {
+      std::uint32_t u;
+      float r;
+    };
+    for (std::uint32_t c = 0; c < cols; ++c) col_start[c + 1] += col_start[c];
+    std::vector<std::size_t> col_next(col_start.begin(), col_start.end() - 1);
+    std::vector<RowValue> by_col(src.size());
+    for (const Rating& e : src) {
+      const Rating k = keyed<kOrder>(e);
+      by_col[col_next[k.i]++] = {k.u, k.r};
+    }
+    // Row pass: columns in ascending order, so each row's ratings land in
+    // column order and equal (row, column) pairs keep their input order.
+    for (std::uint32_t c = 0; c < cols; ++c) {
+      for (std::size_t j = col_start[c]; j < col_start[c + 1]; ++j) {
+        const RowValue& at = by_col[j];
+        *cursor[at.u]++ = Rating{at.u, c, at.r};
+      }
+    }
+  }
+  std::vector<RatingMatrix> sorted;
+  sorted.reserve(out.size());
+  for (auto& entries : out) sorted.emplace_back(rows, cols, std::move(entries));
+  return sorted;
+}
+
+}  // namespace
+
+std::vector<RatingMatrix> sort_rows(const RatingMatrix& matrix,
+                                    RowSort order,
+                                    std::span<const std::uint32_t> range_ends) {
+  switch (order) {
+    case RowSort::kRow:
+      return sort_rows_as<RowSort::kRow>(matrix, range_ends);
+    case RowSort::kRowColumn:
+      return sort_rows_as<RowSort::kRowColumn>(matrix, range_ends);
+    case RowSort::kTransposed:
+      break;
+  }
+  return sort_rows_as<RowSort::kTransposed>(matrix, range_ends);
 }
 
 }  // namespace hcc::data

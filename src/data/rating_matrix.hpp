@@ -2,9 +2,9 @@
 //
 // The rating matrix R of an MF problem is stored in coordinate (COO) form —
 // the natural format for SGD, which visits ratings one by one — with helpers
-// to shuffle (SGD wants random visit order), sort by row (the paper's
-// cache-hit-rate modification to CuMF_SGD's grid problem), and convert to CSR
-// (used by the FPSGD block scheduler and by per-row accounting).
+// to shuffle (SGD wants random visit order) and to put it in row order (the
+// paper's cache-hit-rate modification to CuMF_SGD's grid problem) with a
+// stable counting sort that is linear in nnz.
 #pragma once
 
 #include <cstdint>
@@ -67,18 +67,15 @@ class RatingMatrix {
 
   /// Stable-sorts entries by row then column; improves cache hit rate for
   /// row-major factor access (the paper's CuMF_SGD modification iii).
+  /// Runs sort_rows(), so O(nnz + rows + cols).
   void sort_by_row();
-
-  /// Stable-sorts entries by column then row (used under column grids).
-  void sort_by_col();
 
   /// Per-row nonzero counts; used by the grid partitioner to split rows so
   /// each worker receives its target *fraction of ratings*, not of rows.
   std::vector<std::size_t> row_counts() const;
   std::vector<std::size_t> col_counts() const;
 
-  /// Returns the transposed matrix (swaps the roles of users and items);
-  /// the paper switches to column grids / "Transmitting P only" this way.
+  /// Returns the transposed matrix (swaps the roles of users and items).
   RatingMatrix transposed() const;
 
   /// Extracts the sub-matrix containing rows [row_begin, row_end).  Entry
@@ -92,25 +89,25 @@ class RatingMatrix {
   std::vector<Rating> entries_;
 };
 
-/// Compressed-sparse-row index over a RatingMatrix (values stay in the COO
-/// entry array; this holds offsets).  Build once after sort_by_row().
-class CsrIndex {
- public:
-  CsrIndex() = default;
-
-  /// Builds offsets; `matrix` must already be sorted by row.
-  explicit CsrIndex(const RatingMatrix& matrix);
-
-  /// Half-open entry range [begin(r), end(r)) of row r in the entry array.
-  std::size_t begin(std::uint32_t row) const { return offsets_[row]; }
-  std::size_t end(std::uint32_t row) const { return offsets_[row + 1]; }
-
-  std::uint32_t rows() const {
-    return static_cast<std::uint32_t>(offsets_.size() - 1);
-  }
-
- private:
-  std::vector<std::size_t> offsets_;
+/// The key sort_rows() orders by.
+enum class RowSort {
+  kRow,         ///< u alone: one counting pass
+  kRowColumn,   ///< (u, i): a column pass, then the row pass
+  kTransposed,  ///< (i, u), each rating emitted as {i, u, r}
 };
+
+/// Stable counting sort of `matrix`'s ratings into row order: the order
+/// std::stable_sort gives on the `order` key, duplicate keys kept in input
+/// order.  An LSD radix sort — the column pass buckets each rating's row
+/// and value by column, the row pass scatters them straight to their
+/// place — so it takes O(nnz + rows + cols) time and 8 bytes per rating
+/// beside the output (none for kRow).  The sorted matrix comes back cut
+/// into the consecutive row ranges that end at `range_ends` (ascending;
+/// the last is the sorted matrix's row count; std::invalid_argument
+/// otherwise), one matrix per range with the full dimensions; with no
+/// `range_ends`, as one matrix.
+std::vector<RatingMatrix> sort_rows(
+    const RatingMatrix& matrix, RowSort order,
+    std::span<const std::uint32_t> range_ends = {});
 
 }  // namespace hcc::data

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace hcc::fault {
 
@@ -64,13 +65,10 @@ std::vector<std::vector<data::Rating>> split_entries_by_shares(
   if (slice.nnz() == 0) return batches;
 
   // Row-sorted copy: slices are row-contiguous but not guaranteed sorted
-  // (shuffled visit order), and the cut points must land on row edges.
-  std::vector<data::Rating> entries(slice.entries().begin(),
-                                    slice.entries().end());
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const data::Rating& a, const data::Rating& b) {
-                     return a.u < b.u;
-                   });
+  // (a schedule reorders them), and the cut points must land on row edges.
+  const data::RatingMatrix sorted =
+      std::move(data::sort_rows(slice, data::RowSort::kRow).front());
+  const std::span<const data::Rating> entries = sorted.entries();
 
   double total_weight = 0.0;
   for (double w : weights) total_weight += std::max(0.0, w);

@@ -1,4 +1,4 @@
-// Tests for RatingMatrix and CsrIndex.
+// Tests for RatingMatrix.
 #include "data/rating_matrix.hpp"
 
 #include <gtest/gtest.h>
@@ -62,16 +62,6 @@ TEST(RatingMatrix, SortByRowOrdersEntries) {
   for (std::size_t i = 1; i < e.size(); ++i) {
     EXPECT_TRUE(e[i - 1].u < e[i].u ||
                 (e[i - 1].u == e[i].u && e[i - 1].i <= e[i].i));
-  }
-}
-
-TEST(RatingMatrix, SortByColOrdersEntries) {
-  RatingMatrix m = small_matrix();
-  m.sort_by_col();
-  const auto e = m.entries();
-  for (std::size_t i = 1; i < e.size(); ++i) {
-    EXPECT_TRUE(e[i - 1].i < e[i].i ||
-                (e[i - 1].i == e[i].i && e[i - 1].u <= e[i].u));
   }
 }
 
@@ -222,35 +212,6 @@ TEST(RatingMatrix, SliceRowsEmptyAndFull) {
   EXPECT_EQ(m.slice_rows(0, 0).nnz(), 0u);
   EXPECT_EQ(m.slice_rows(0, 4).nnz(), 5u);
   EXPECT_EQ(m.slice_rows(3, 4).nnz(), 1u);
-}
-
-TEST(CsrIndex, OffsetsMatchRowCounts) {
-  RatingMatrix m = small_matrix();
-  m.sort_by_row();
-  const CsrIndex csr(m);
-  EXPECT_EQ(csr.rows(), 4u);
-  EXPECT_EQ(csr.end(0) - csr.begin(0), 1u);
-  EXPECT_EQ(csr.end(1) - csr.begin(1), 1u);
-  EXPECT_EQ(csr.end(2) - csr.begin(2), 2u);
-  EXPECT_EQ(csr.end(3) - csr.begin(3), 1u);
-  EXPECT_EQ(csr.end(3), m.nnz());
-  // Entries inside each row range really belong to that row.
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    for (std::size_t idx = csr.begin(r); idx < csr.end(r); ++idx) {
-      EXPECT_EQ(m.entries()[idx].u, r);
-    }
-  }
-}
-
-TEST(CsrIndex, HandlesEmptyRows) {
-  RatingMatrix m(5, 2);
-  m.add(4, 0, 1.0f);
-  m.sort_by_row();
-  const CsrIndex csr(m);
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(csr.begin(r), csr.end(r));
-  }
-  EXPECT_EQ(csr.end(4) - csr.begin(4), 1u);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // degraded-mode repartition helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
+#include <vector>
 
 #include "comm/backend.hpp"
 #include "core/adaptive.hpp"
@@ -15,6 +17,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
+#include "util/rng.hpp"
 
 namespace hcc::fault {
 namespace {
@@ -255,6 +258,43 @@ TEST(Recovery, SplitEntriesRespectsRowBoundariesAndWeights) {
   EXPECT_NEAR(static_cast<double>(batches[0].size()),
               static_cast<double>(batches[2].size()), 3.0 + 1e-9)
       << "near-equal weights should split near-equally";
+}
+
+TEST(Recovery, SplitEntriesOfAShuffledSliceMatchesAComparisonSort) {
+  // A schedule-permuted victim slice: rows repeat, many (u, i) pairs
+  // repeat, and each value is the input position.
+  util::Rng rng(21);
+  data::RatingMatrix slice(30, 6);
+  for (std::uint32_t j = 0; j < 400; ++j) {
+    slice.add(5 + static_cast<std::uint32_t>(rng.uniform_u64(20)),
+              static_cast<std::uint32_t>(rng.uniform_u64(3)),
+              static_cast<float>(j));
+  }
+  slice.shuffle(rng);
+
+  // What the split did before its counting pass: a stable comparison
+  // sort by row, then the row walk.  On row-sorted input the walk is all
+  // there is, which the concatenation check below pins.
+  std::vector<data::Rating> by_row(slice.entries().begin(),
+                                   slice.entries().end());
+  std::stable_sort(by_row.begin(), by_row.end(),
+                   [](const data::Rating& a, const data::Rating& b) {
+                     return a.u < b.u;
+                   });
+  const data::RatingMatrix sorted(slice.rows(), slice.cols(), by_row);
+
+  for (const std::vector<double>& weights :
+       {std::vector<double>{0.3, 0.0, 0.7}, std::vector<double>{0.25, 0.25,
+                                                                0.25, 0.25},
+        std::vector<double>{1.0}}) {
+    const auto want = split_entries_by_shares(sorted, weights);
+    std::vector<data::Rating> joined;
+    for (const auto& batch : want) {
+      joined.insert(joined.end(), batch.begin(), batch.end());
+    }
+    EXPECT_EQ(joined, by_row);
+    EXPECT_EQ(split_entries_by_shares(slice, weights), want);
+  }
 }
 
 TEST(ConfigValidate, CollectsTypedErrors) {
