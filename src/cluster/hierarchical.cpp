@@ -9,6 +9,7 @@
 #include "core/training_loop.hpp"
 #include "mf/metrics.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/log.hpp"
 
 namespace hcc::cluster {
@@ -130,17 +131,9 @@ ClusterReport HierarchicalHcc::simulate(const sim::DatasetShape& shape) {
 ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
                                      const data::RatingMatrix* test_ratings) {
   core::throw_if_invalid(config_.validate(), "HierarchicalConfig");
-  const bool transpose = train_ratings.cols() > train_ratings.rows();
-  data::RatingMatrix matrix =
-      transpose ? train_ratings.transposed() : train_ratings;
-  data::RatingMatrix test_local;
-  if (test_ratings != nullptr && transpose) {
-    test_local = test_ratings->transposed();
-    test_ratings = &test_local;
-  }
-
-  const sim::DatasetShape shape =
-      core::shape_of(matrix, config_.dataset_name, config_.sgd.k);
+  const data::GridKind grid = data::choose_grid(train_ratings);
+  const sim::DatasetShape shape = core::shape_of(
+      train_ratings, grid, config_.dataset_name, config_.sgd.k);
 
   ClusterReport report = simulate(shape);
 
@@ -150,10 +143,14 @@ ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
   for (const auto& node : config_.cluster.nodes) {
     specs.push_back({node.name, /*streams=*/1, config_.local_epochs});
   }
-  core::TrainingLoop loop(config_, shape, std::move(matrix),
+  core::TrainingLoop loop(config_, shape, train_ratings, grid,
                           report.node_shares, std::move(specs));
   MembershipTable members(config_.cluster.nodes.size());
+  // Test ratings in the trained matrix's row order (see HccMf::train).
+  data::RatingMatrix test_rows;
   if (test_ratings != nullptr) {
+    obs::ScopedSpan span("test order", obs::kTrainCategory);
+    test_rows = data::grid_ordered(*test_ratings, grid);
     report.test_rmse.assign(config_.sgd.epochs, 0.0);
   }
 
@@ -199,7 +196,8 @@ ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
   };
   hooks.end_epoch = [&](std::uint32_t epoch, obs::ScopedSpan&) {
     if (test_ratings != nullptr) {
-      report.test_rmse[epoch] = mf::rmse(loop.server().model(), *test_ratings);
+      obs::ScopedSpan span("test rmse", obs::kTrainCategory);
+      report.test_rmse[epoch] = mf::rmse(loop.server().model(), test_rows);
     }
   };
   hooks.worker_lost = [&](std::uint32_t node, std::uint32_t epoch) {

@@ -164,19 +164,11 @@ TrainReport HccMf::simulate(const sim::DatasetShape& shape) {
 TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
                          const data::RatingMatrix* test_ratings) {
   throw_if_invalid(config_.validate(), "HccMfConfig");
-  // Column-grid case: transpose so the rest of the pipeline is always
-  // row-grid ("Transmitting P only" is Q-only on the transpose).
-  const bool transpose = train_ratings.cols() > train_ratings.rows();
-  data::RatingMatrix matrix =
-      transpose ? train_ratings.transposed() : train_ratings;
-  data::RatingMatrix test_local;
-  if (test_ratings != nullptr && transpose) {
-    test_local = test_ratings->transposed();
-    test_ratings = &test_local;
-  }
-
+  // Column-grid case: the loop trains the transpose, so the rest of the
+  // pipeline is always row-grid.
+  const data::GridKind grid = data::choose_grid(train_ratings);
   const sim::DatasetShape shape =
-      shape_of(matrix, config_.dataset_name, config_.sgd.k);
+      shape_of(train_ratings, grid, config_.dataset_name, config_.sgd.k);
   DataManager manager(config_.platform, shape, config_.comm, config_.manager);
 
   TrainReport report;
@@ -189,7 +181,7 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
     specs.push_back(
         {device.name, comm::effective_streams(config_.comm, device)});
   }
-  TrainingLoop loop(config_, shape, std::move(matrix), report.plan.shares,
+  TrainingLoop loop(config_, shape, train_ratings, grid, report.plan.shares,
                     std::move(specs));
   Server& server = loop.server();
   fault::FaultRuntime& fault_rt = loop.fault_runtime();
@@ -204,6 +196,20 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
     server.attach_snapshots(config_.snapshots.get(), config_.publish_store);
   }
   std::uint32_t last_publish_epoch = 0;
+
+  // Evaluate on the test ratings in the trained matrix's row order, so
+  // each evaluation streams P rows; built after slicing, off its peak.
+  const bool evaluating =
+      test_ratings != nullptr && config_.evaluate_each_epoch;
+  data::RatingMatrix test_rows;
+  if (evaluating) {
+    obs::ScopedSpan span("test order", obs::kTrainCategory);
+    test_rows = data::grid_ordered(*test_ratings, grid);
+  }
+  const auto test_rmse = [&] {
+    obs::ScopedSpan span("test rmse", obs::kTrainCategory);
+    return mf::rmse(server.model(), test_rows);
+  };
 
   // Timing runs alongside the functional loop but is fully decoupled.
   accumulate_timing(report, manager, report.plan, &fault_rt.injector());
@@ -319,9 +325,7 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
       }
     }
 
-    if (test_ratings != nullptr && config_.evaluate_each_epoch) {
-      er.test_rmse = mf::rmse(server.model(), *test_ratings);
-    }
+    if (evaluating) er.test_rmse = test_rmse();
     // Publish at the cadence boundary (the final epoch's snapshot waits
     // for the closing P roundtrip so it matches the delivered model);
     // queries on earlier snapshots keep their own references.
@@ -340,9 +344,8 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
   };
   loop.run(hooks);
 
-  if (test_ratings != nullptr && config_.evaluate_each_epoch &&
-      !report.epochs.empty()) {
-    report.epochs.back().test_rmse = mf::rmse(server.model(), *test_ratings);
+  if (evaluating && !report.epochs.empty()) {
+    report.epochs.back().test_rmse = test_rmse();
   }
   // Final quality as a gauge so metrics-only consumers (the CI straggler
   // smoke compares steal vs no-steal RMSE from the JSON dump) need no

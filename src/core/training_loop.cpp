@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/adaptive.hpp"
-#include "data/grid.hpp"
 #include "fault/errors.hpp"
 #include "obs/metrics.hpp"
 #include "sim/platform.hpp"
@@ -31,10 +30,12 @@ TrainingOptions share_fault_plan(TrainingOptions options) {
   return options;
 }
 
-std::vector<data::RatingMatrix> row_slices(data::RatingMatrix matrix,
-                                           const std::vector<double>& shares) {
-  const auto grid = data::make_grid(matrix, data::GridKind::kRow, shares);
-  return data::assign_slices(std::move(matrix), data::GridKind::kRow, grid);
+std::vector<data::RatingMatrix> grid_slices(const data::RatingMatrix& matrix,
+                                            data::GridKind kind,
+                                            const std::vector<double>& shares) {
+  obs::ScopedSpan span("grid slices", obs::kTrainCategory);
+  return data::assign_slices(matrix, kind,
+                             data::make_grid(matrix, kind, shares));
 }
 
 }  // namespace
@@ -52,9 +53,12 @@ void throw_if_invalid(const std::vector<ConfigError>& errors,
   throw std::invalid_argument(joined);
 }
 
-sim::DatasetShape shape_of(const data::RatingMatrix& matrix, std::string name,
+sim::DatasetShape shape_of(const data::RatingMatrix& matrix,
+                           data::GridKind grid, std::string name,
                            std::uint32_t k) {
-  return {std::move(name), matrix.rows(), matrix.cols(), matrix.nnz(), k};
+  const bool row = grid == data::GridKind::kRow;
+  return {std::move(name), row ? matrix.rows() : matrix.cols(),
+          row ? matrix.cols() : matrix.rows(), matrix.nnz(), k};
 }
 
 std::vector<ConfigError> TrainingOptions::validate() const {
@@ -147,12 +151,13 @@ std::vector<ConfigError> TrainingOptions::validate() const {
 
 TrainingLoop::TrainingLoop(TrainingOptions options,
                            const sim::DatasetShape& shape,
-                           data::RatingMatrix matrix,
-                           std::vector<double> shares,
+                           const data::RatingMatrix& matrix,
+                           data::GridKind grid, std::vector<double> shares,
                            std::vector<WorkerSpec> specs)
     : options_(share_fault_plan(std::move(options))),
       shape_(shape),
       specs_(std::move(specs)),
+      grid_(grid),
       fault_rt_(options_.fault),
       ckpts_(options_.fault.checkpoint_dir),
       // Checkpoints back both worker-death recovery and the divergence
@@ -171,8 +176,9 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
       break;
     }
   }
-  auto slices = row_slices(std::move(matrix), live_shares_);
+  auto slices = grid_slices(matrix, grid_, live_shares_);
 
+  obs::ScopedSpan init_span("model init", obs::kTrainCategory);
   // Mean rating for model init.
   double mean = 0.0;
   std::size_t nnz = 0;
@@ -190,6 +196,7 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
       resolve_stripes(options_.exec, static_cast<std::uint32_t>(shape_.n),
                       slices.size());
   server_ = std::make_unique<Server>(std::move(model), options_.comm, stripes);
+  init_span.stop();
 
   build_workers(std::move(slices));
   refresh_item_weights();
@@ -231,6 +238,7 @@ void TrainingLoop::build_workers(std::vector<data::RatingMatrix> slices) {
 }
 
 void TrainingLoop::refresh_item_weights() {
+  obs::ScopedSpan span("item weights", obs::kTrainCategory);
   const std::size_t items = shape_.n;
   std::vector<std::size_t> totals(items, 0);
   std::vector<std::vector<std::size_t>> counts(workers_.size());
@@ -256,7 +264,7 @@ void TrainingLoop::repartition(std::vector<double> shares,
                                std::vector<bool> alive) {
   alive_ = std::move(alive);
   live_shares_ = std::move(shares);
-  build_workers(row_slices(pristine_, live_shares_));
+  build_workers(grid_slices(pristine_, grid_, live_shares_));
   refresh_item_weights();
 }
 

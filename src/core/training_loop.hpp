@@ -25,6 +25,7 @@
 #include "core/epoch_executor.hpp"
 #include "core/server.hpp"
 #include "core/worker.hpp"
+#include "data/grid.hpp"
 #include "data/rating_matrix.hpp"
 #include "data/schedule.hpp"
 #include "fault/checkpoint.hpp"
@@ -97,8 +98,10 @@ struct TrainingOptions {
   std::vector<ConfigError> validate() const;
 };
 
-/// The shape of a row-grid rating matrix at rank `k`.
-sim::DatasetShape shape_of(const data::RatingMatrix& matrix, std::string name,
+/// The row-grid shape of `matrix` at rank `k`: under a column grid, the
+/// shape of its transpose.
+sim::DatasetShape shape_of(const data::RatingMatrix& matrix,
+                           data::GridKind grid, std::string name,
                            std::uint32_t k);
 
 /// One worker of the loop: a device of a node, or a whole cluster node.
@@ -126,12 +129,15 @@ class TrainingLoop {
         worker_lost;
   };
 
-  /// Row-grids `matrix` (already row-major: more rows than columns) by
-  /// `shares`, one worker per spec.  A chaos link and the fault injector
-  /// run one plan: whichever side is configured feeds the other.
+  /// Grids `matrix` by `shares`, one worker per spec.  Under a column grid
+  /// the loop trains the transpose ("Transmitting P only" is Q-only on the
+  /// transpose), read straight out of `matrix`: the slices are its only
+  /// copy, unless the plan has a join, which keeps the input.  A chaos
+  /// link and the fault injector run one plan: whichever side is
+  /// configured feeds the other.
   TrainingLoop(TrainingOptions options, const sim::DatasetShape& shape,
-               data::RatingMatrix matrix, std::vector<double> shares,
-               std::vector<WorkerSpec> specs);
+               const data::RatingMatrix& matrix, data::GridKind grid,
+               std::vector<double> shares, std::vector<WorkerSpec> specs);
 
   // The hooks and the executor's threads hold references into the loop.
   TrainingLoop(const TrainingLoop&) = delete;
@@ -185,6 +191,7 @@ class TrainingLoop {
   TrainingOptions options_;
   sim::DatasetShape shape_;
   std::vector<WorkerSpec> specs_;
+  data::GridKind grid_;
   data::RatingMatrix pristine_{0, 0};
   fault::FaultRuntime fault_rt_;
   fault::CheckpointStore ckpts_;

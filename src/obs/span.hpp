@@ -24,6 +24,9 @@ namespace hcc::obs {
 inline constexpr const char* kPhaseCategory = "phase";
 inline constexpr const char* kCommCategory = "comm";
 inline constexpr const char* kEpochCategory = "epoch";
+/// train()'s stages outside the epoch phases: slicing, model init, merge
+/// weights, test-set ordering and each test-RMSE evaluation.
+inline constexpr const char* kTrainCategory = "train";
 
 /// One complete ("ph":"X") trace event.  `track` renders as the Chrome
 /// trace tid, so per-worker phases land on per-worker rows.
