@@ -91,12 +91,15 @@ void Codec::decode(std::span<const std::byte> src, std::span<float> dst) {
 void Fp32Codec::encode_impl(std::span<const float> src,
                             std::span<std::byte> dst) {
   assert(dst.size() >= encoded_bytes(src.size()));
+  // memcpy needs non-null pointers even for 0 bytes; empty spans may be null.
+  if (src.empty()) return;
   std::memcpy(dst.data(), src.data(), src.size() * sizeof(float));
 }
 
 void Fp32Codec::decode_impl(std::span<const std::byte> src,
                             std::span<float> dst) {
   assert(src.size() >= encoded_bytes(dst.size()));
+  if (dst.empty()) return;
   std::memcpy(dst.data(), src.data(), dst.size() * sizeof(float));
 }
 
