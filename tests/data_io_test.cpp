@@ -2,21 +2,33 @@
 #include "data/io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/datasets.hpp"
 
 namespace hcc::data {
 namespace {
 
+/// A temp path of this test case alone: its name plus the pid, so cases
+/// running in parallel (ctest -j) never share a file.
+std::string temp_path_for_test(const std::string& extension) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string name = std::string("hccmf_") + test->test_suite_name() +
+                           "_" + test->name() + "_" +
+                           std::to_string(::getpid()) + extension;
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
 class IoTest : public ::testing::Test {
  protected:
   void TearDown() override {
     std::filesystem::remove(path_);
   }
-  std::string path_ = "/tmp/hccmf_io_test.dat";
+  std::string path_ = temp_path_for_test(".dat");
 };
 
 RatingMatrix sample() {

@@ -2,12 +2,24 @@
 #include "data/movielens_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace hcc::data {
 namespace {
+
+/// A temp path of this test case alone: its name plus the pid, so cases
+/// running in parallel (ctest -j) never share a file.
+std::string temp_path_for_test(const std::string& extension) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string name = std::string("hccmf_") + test->test_suite_name() +
+                           "_" + test->name() + "_" +
+                           std::to_string(::getpid()) + extension;
+  return (std::filesystem::temp_directory_path() / name).string();
+}
 
 class MovieLensTest : public ::testing::Test {
  protected:
@@ -16,7 +28,7 @@ class MovieLensTest : public ::testing::Test {
     std::ofstream out(path_);
     out << content;
   }
-  std::string path_ = "/tmp/hccmf_ml_test.csv";
+  std::string path_ = temp_path_for_test(".csv");
 };
 
 TEST_F(MovieLensTest, ParsesHeaderAndDensifiesIds) {
@@ -70,7 +82,7 @@ TEST_F(MovieLensTest, SaveLoadRoundTrip) {
       "20,200,0.5,2\n"
       "10,200,3.0,3\n");
   const MovieLensData ml = load_movielens_csv(path_);
-  const std::string out_path = "/tmp/hccmf_ml_roundtrip.csv";
+  const std::string out_path = temp_path_for_test("_roundtrip.csv");
   ASSERT_TRUE(
       save_movielens_csv(ml.ratings, ml.user_ids, ml.item_ids, out_path));
   const MovieLensData again = load_movielens_csv(out_path);
