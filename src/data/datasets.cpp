@@ -5,13 +5,15 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace hcc::data {
 
 DatasetSpec DatasetSpec::scaled(double factor) const {
   DatasetSpec s = *this;
   if (factor >= 1.0) return s;
-  // Dimensions scale by sqrt-ish of the nnz factor so that nnz/(m+n) — the
-  // compute-to-communication ratio the framework keys off — is preserved.
+  // Dimensions scale linearly with nnz, so nnz/(m+n) — the compute-to-
+  // communication ratio the framework keys off — is preserved.
   const double dim_factor = factor;
   s.m = std::max<std::uint32_t>(16, static_cast<std::uint32_t>(std::llround(m * dim_factor)));
   s.n = std::max<std::uint32_t>(16, static_cast<std::uint32_t>(std::llround(n * dim_factor)));
@@ -131,41 +133,65 @@ RatingMatrix generate(const DatasetSpec& spec, const GeneratorConfig& config) {
   util::shuffle(user_map, rng);
   util::shuffle(item_map, rng);
 
-  RatingMatrix ratings(spec.m, spec.n);
-  ratings.reserve(spec.nnz);
+  // Pass 1 draws a block's randomness in the sequential stream order (user
+  // uniform, item uniform, noise normal per rating); pass 2 turns each
+  // rating's draws into its (u, i, r) in parallel.  Pass 2 reads only its
+  // own rating's draws and shared read-only tables, so the output does not
+  // depend on the thread count.
+  constexpr std::size_t kBlock = std::size_t{1} << 18;
+  std::vector<Rating> entries(spec.nnz);
+  std::vector<double> draws(2 * std::min<std::size_t>(kBlock, spec.nnz));
+  util::ThreadPool pool;
   const float span = spec.rating_max - spec.rating_min;
   const float step = span <= 10.0f ? 0.5f : 1.0f;  // coarse rating scales
-  for (std::uint64_t e = 0; e < spec.nnz; ++e) {
-    const std::uint32_t u = user_map[user_pop(rng)];
-    const std::uint32_t i = item_map[item_pop(rng)];
-    const float* pu = &pstar[static_cast<std::size_t>(u) * k0];
-    const float* qi = &qstar[static_cast<std::size_t>(i) * k0];
-    float dot = 0.0f;
-    for (std::uint32_t f = 0; f < k0; ++f) dot += pu[f] * qi[f];
-    float r = dot + user_bias[u] + item_bias[i] +
-              static_cast<float>(rng.normal(0.0, config.noise_stddev));
-    r = std::clamp(r, spec.rating_min, spec.rating_max);
-    if (config.quantize_half_steps) {
-      r = spec.rating_min + step * std::round((r - spec.rating_min) / step);
+  for (std::size_t base = 0; base < entries.size(); base += kBlock) {
+    const std::size_t count = std::min(kBlock, entries.size() - base);
+    for (std::size_t k = 0; k < count; ++k) {
+      draws[2 * k] = rng.uniform();
+      draws[2 * k + 1] = rng.uniform();
+      entries[base + k].r =
+          static_cast<float>(rng.normal(0.0, config.noise_stddev));
     }
-    ratings.add(u, i, r);
+    pool.parallel_for(0, count, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::uint32_t u = user_map[user_pop.index(draws[2 * k])];
+        const std::uint32_t i = item_map[item_pop.index(draws[2 * k + 1])];
+        const float* pu = &pstar[static_cast<std::size_t>(u) * k0];
+        const float* qi = &qstar[static_cast<std::size_t>(i) * k0];
+        float dot = 0.0f;
+        for (std::uint32_t f = 0; f < k0; ++f) dot += pu[f] * qi[f];
+        Rating& out = entries[base + k];
+        float r = dot + user_bias[u] + item_bias[i] + out.r;
+        r = std::clamp(r, spec.rating_min, spec.rating_max);
+        if (config.quantize_half_steps) {
+          r = spec.rating_min + step * std::round((r - spec.rating_min) / step);
+        }
+        out = Rating{u, i, r};
+      }
+    });
   }
+  RatingMatrix ratings(spec.m, spec.n, std::move(entries));
   ratings.shuffle(rng);
   return ratings;
 }
 
 std::pair<RatingMatrix, RatingMatrix> train_test_split(
     const RatingMatrix& ratings, double holdout_fraction, util::Rng& rng) {
-  RatingMatrix train(ratings.rows(), ratings.cols());
-  RatingMatrix test(ratings.rows(), ratings.cols());
-  for (const auto& e : ratings.entries()) {
-    if (rng.uniform() < holdout_fraction) {
-      test.add(e.u, e.i, e.r);
-    } else {
-      train.add(e.u, e.i, e.r);
-    }
+  const auto entries = ratings.entries();
+  std::vector<std::uint8_t> held_out(entries.size());
+  std::size_t test_count = 0;
+  for (auto& h : held_out) {
+    h = rng.uniform() < holdout_fraction;
+    test_count += h;
   }
-  return {std::move(train), std::move(test)};
+  std::vector<Rating> train, test;
+  train.reserve(entries.size() - test_count);
+  test.reserve(test_count);
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    (held_out[e] ? test : train).push_back(entries[e]);
+  }
+  return {RatingMatrix(ratings.rows(), ratings.cols(), std::move(train)),
+          RatingMatrix(ratings.rows(), ratings.cols(), std::move(test))};
 }
 
 }  // namespace hcc::data

@@ -30,8 +30,9 @@ struct DatasetSpec {
   float rating_min = 1.0f;
   float rating_max = 5.0f;
 
-  /// Returns a copy with m, n and nnz scaled by `factor` (0 < factor <= 1),
-  /// preserving the aspect ratio nnz/(m+n) as far as rounding allows.
+  /// Returns a copy with m, n and nnz all scaled linearly by `factor`
+  /// (0 < factor <= 1; at least 16 rows, 16 columns and 256 ratings), so the
+  /// aspect ratio nnz/(m+n) is kept as far as rounding and those floors allow.
   DatasetSpec scaled(double factor) const;
 
   /// The paper's communication-boundedness indicator nnz/(m+n); Section 3.4
@@ -76,8 +77,9 @@ struct GeneratorConfig {
 /// observations of the same cell and do not affect the framework's behaviour.
 RatingMatrix generate(const DatasetSpec& spec, const GeneratorConfig& config);
 
-/// Splits `ratings` into train/test by holding out every k-th entry
-/// (holdout_fraction of the data, deterministically spread).  Returns
+/// Splits `ratings` into train/test with one seeded Bernoulli draw per entry,
+/// in entry order: an entry goes to test when rng.uniform() <
+/// holdout_fraction.  Both outputs keep the input's relative order.  Returns
 /// {train, test}.
 std::pair<RatingMatrix, RatingMatrix> train_test_split(
     const RatingMatrix& ratings, double holdout_fraction, util::Rng& rng);

@@ -1,6 +1,8 @@
 #include "util/rng.hpp"
 
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace hcc::util {
 
@@ -39,6 +41,9 @@ double Rng::normal() noexcept {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
+  if (n == 0 || n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfSampler: n must be in [1, 2^32)");
+  }
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -46,13 +51,29 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) {
     cdf_[i] = total;
   }
   for (auto& c : cdf_) c /= total;
+
+  std::size_t buckets = 1;
+  while (buckets < n) buckets *= 2;
+  guide_.resize(buckets + 1);
+  std::size_t idx = 0;
+  for (std::size_t j = 0; j <= buckets; ++j) {
+    const double edge = static_cast<double>(j) / static_cast<double>(buckets);
+    while (idx < n && cdf_[idx] < edge) ++idx;
+    guide_[j] = static_cast<std::uint32_t>(idx);
+  }
 }
 
-std::size_t ZipfSampler::operator()(Rng& rng) const noexcept {
-  const double u = rng.uniform();
-  // Binary search for the first cdf entry >= u.
-  std::size_t lo = 0;
-  std::size_t hi = cdf_.size();
+std::size_t ZipfSampler::index(double u) const noexcept {
+  assert(u >= 0.0 && u < 1.0);
+  // Scaling by the power-of-two bucket count is exact, so j/G <= u <
+  // (j+1)/G and the answer lies in [guide_[j], guide_[j+1]].  Searching
+  // [guide_[j], guide_[j+1]) suffices: when every entry there is < u, the
+  // search ends on guide_[j+1], which is then the answer.
+  const std::size_t buckets = guide_.size() - 1;
+  const auto j = static_cast<std::size_t>(u * static_cast<double>(buckets));
+  const std::size_t n = cdf_.size();
+  std::size_t lo = guide_[j];
+  std::size_t hi = guide_[j + 1];
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {
@@ -61,7 +82,7 @@ std::size_t ZipfSampler::operator()(Rng& rng) const noexcept {
       hi = mid;
     }
   }
-  return lo < cdf_.size() ? lo : cdf_.size() - 1;
+  return lo < n ? lo : n - 1;
 }
 
 }  // namespace hcc::util

@@ -6,9 +6,11 @@
 // per the reference implementations by Blackman & Vigna (public domain).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <vector>
 
@@ -93,27 +95,49 @@ class Rng {
 /// popularity; the synthetic generators use this to reproduce that skew.
 class ZipfSampler {
  public:
-  /// Builds the cumulative table.  O(n) memory; fine for the scaled dataset
-  /// sizes this repo works with.
+  /// Builds the cumulative table and its guide table.  O(n) memory; fine for
+  /// the scaled dataset sizes this repo works with.  Throws
+  /// std::invalid_argument when n is 0 or does not fit in 32 bits.
   ZipfSampler(std::size_t n, double s);
 
+  /// The inverse CDF at u in [0, 1): the first index whose cumulative weight
+  /// is >= u, clamped to n-1 (rounding can leave the last weight below u).
+  std::size_t index(double u) const noexcept;
+
   /// Draws one index, most-popular = 0.
-  std::size_t operator()(Rng& rng) const noexcept;
+  std::size_t operator()(Rng& rng) const noexcept {
+    return index(rng.uniform());
+  }
 
   std::size_t size() const noexcept { return cdf_.size(); }
 
  private:
   std::vector<double> cdf_;  // normalized cumulative weights
+  // guide_[j] = first index with cdf_ >= j/G (n if none), for j in [0, G],
+  // where G is the smallest power of two >= n.
+  std::vector<std::uint32_t> guide_;
 };
 
-/// In-place Fisher–Yates shuffle with the deterministic Rng.
+/// In-place Fisher–Yates shuffle with the deterministic Rng.  Swap targets
+/// are drawn a batch ahead so their (random) cache lines can be prefetched;
+/// the draws and the swaps keep the plain loop's order, so the permutation
+/// and the Rng state afterwards are the same as drawing one at a time.
 template <typename T>
 void shuffle(std::vector<T>& v, Rng& rng) {
-  if (v.size() < 2) return;
-  for (std::size_t i = v.size() - 1; i > 0; --i) {
-    const std::size_t j = rng.uniform_u64(i + 1);
-    using std::swap;
-    swap(v[i], v[j]);
+  constexpr std::size_t kAhead = 32;
+  std::array<std::size_t, kAhead> targets{};
+  // Swaps positions i-1, i-2, .., 1 with a uniform pick from [0, position].
+  for (std::size_t i = v.size(); i > 1;) {
+    const std::size_t batch = std::min(kAhead, i - 1);
+    for (std::size_t k = 0; k < batch; ++k) {
+      targets[k] = rng.uniform_u64(i - k);
+      __builtin_prefetch(&v[targets[k]], 1);
+    }
+    for (std::size_t k = 0; k < batch; ++k) {
+      using std::swap;
+      swap(v[i - 1 - k], v[targets[k]]);
+    }
+    i -= batch;
   }
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <map>
+#include <stdexcept>
 #include <numeric>
 #include <vector>
 
@@ -126,6 +129,79 @@ TEST(Zipf, ZeroExponentIsUniform) {
   for (int c : counts) {
     EXPECT_GT(c, 1700);
     EXPECT_LT(c, 2300);
+  }
+}
+
+TEST(Zipf, RejectsEmptyRange) {
+  EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
+}
+
+// The guide table must only narrow the search, never change its answer:
+// index(u) is the lower bound of u in the CDF, clamped to n-1.
+TEST(Zipf, GuideIndexMatchesLowerBound) {
+  for (const std::size_t n : {1u, 2u, 16u, 889u, 24010u}) {
+    for (const double s : {0.0, 0.8, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " s=" << s);
+      const ZipfSampler zipf(n, s);
+      ASSERT_EQ(zipf.size(), n);
+      std::vector<double> cdf(n);
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = total;
+      }
+      for (auto& c : cdf) c /= total;
+      auto reference = [&cdf](double u) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        return std::min<std::size_t>(it - cdf.begin(), cdf.size() - 1);
+      };
+
+      std::vector<double> probes{0.0, 1.0 - 0x1.0p-53};
+      std::size_t buckets = 1;
+      while (buckets < n) buckets *= 2;
+      for (std::size_t j = 1; j < buckets; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(buckets);
+        probes.push_back(edge);
+        probes.push_back(std::nextafter(edge, 0.0));
+      }
+      // Every CDF value and its neighbours are the other place an
+      // off-by-one can hide.
+      for (const double c : cdf) {
+        if (c < 1.0) probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+      }
+      Rng rng(n * 31 + static_cast<std::size_t>(s * 10));
+      for (int d = 0; d < 100000; ++d) probes.push_back(rng.uniform());
+
+      for (const double u : probes) {
+        ASSERT_EQ(zipf.index(u), reference(u)) << "u=" << u;
+      }
+    }
+  }
+}
+
+/// The plain one-draw-per-swap Fisher-Yates loop that shuffle() must match.
+template <typename T>
+void reference_shuffle(std::vector<T>& v, Rng& rng) {
+  if (v.size() < 2) return;
+  for (std::size_t i = v.size() - 1; i > 0; --i) {
+    const std::size_t j = rng.uniform_u64(i + 1);
+    std::swap(v[i], v[j]);
+  }
+}
+
+TEST(Shuffle, MatchesReferenceFisherYates) {
+  for (const std::size_t size : {0u, 1u, 2u, 31u, 32u, 33u, 1000u, 100003u}) {
+    SCOPED_TRACE(::testing::Message() << "size=" << size);
+    std::vector<std::uint32_t> expected(size);
+    std::iota(expected.begin(), expected.end(), 0u);
+    std::vector<std::uint32_t> actual = expected;
+    Rng reference_rng(size + 17);
+    Rng rng(size + 17);
+    reference_shuffle(expected, reference_rng);
+    shuffle(actual, rng);
+    EXPECT_EQ(actual, expected);
+    EXPECT_EQ(rng(), reference_rng()) << "Rng state after the shuffle";
   }
 }
 
