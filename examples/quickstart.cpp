@@ -190,7 +190,14 @@ int main(int argc, char** argv) {
   const core::TrainReport report = framework.train(train, &test);
 
   // 4. Inspect the result.
-  std::cout << "\nplan: " << report.plan.explanation << "\n\n";
+  std::cout << "\nplan: " << report.plan.explanation << "\n";
+  // The virtual plan times the epochs; the shares below grid the ratings
+  // (the plan's under serial, DP0 over probed host rates under parallel).
+  std::cout << "host shares:";
+  for (const double share : report.host_shares) {
+    std::cout << ' ' << util::Table::num(share, 3);
+  }
+  std::cout << "\n\n";
   util::Table table({"epoch", "test RMSE", "virtual epoch (s)", "cumulative (s)"});
   for (const auto& e : report.epochs) {
     table.add_row({std::to_string(e.epoch), util::Table::num(e.test_rmse, 4),

@@ -3,16 +3,18 @@
 // Algorithm 1 runs once, before training; if a device's effective speed
 // changes afterwards (thermal throttling, co-tenant jobs), the static
 // partition degrades into the paper's "unbalanced data" pathology.  This
-// controller watches the measured per-epoch compute times and rebalances
-// the shares proportionally when the spread exceeds a threshold — the
-// online generalization of Algorithm 1's multiplicative compensation
-// (line 6), applied per worker instead of per class.
+// controller watches per-epoch compute times and rebalances the shares
+// proportionally when the spread exceeds a threshold — the online
+// generalization of Algorithm 1's multiplicative compensation (line 6),
+// applied per worker instead of per class.
 //
-// Adaptation is a scheduling-layer concern: moving rows between workers
-// changes who computes what (and hence the epoch time), not the math —
-// every rating is still applied once per epoch and merged the same way —
-// so HccMf applies the controller on the timing path (simulate(), and
-// train()'s virtual clocks) where its effect is observable.
+// The compute times it is fed are the *virtual* platform's: HccMf runs the
+// controller on the timing path (simulate(), and train()'s virtual clocks)
+// over sim::simulate_epoch's per-worker compute, never over host
+// measurements.  The functional kParallel grid is balanced once, before
+// training, by the host-rate probe (EpochExecutor::probe_gbps and
+// host_shares() in core/partition.hpp); feeding this controller the real
+// per-epoch compute histograms to re-grid between epochs is still open.
 #pragma once
 
 #include <cstdint>

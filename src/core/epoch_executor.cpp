@@ -1,14 +1,24 @@
 #include "core/epoch_executor.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "core/server.hpp"
 #include "core/steal_queue.hpp"
 #include "core/worker.hpp"
+#include "data/rating_matrix.hpp"
 #include "fault/errors.hpp"
+#include "mf/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "util/affinity.hpp"
+#include "util/aligned.hpp"
+#include "util/clock.hpp"
+#include "util/rng.hpp"
 
 namespace hcc::core {
 
@@ -28,6 +38,99 @@ int error_rank(const std::exception_ptr& ep) {
     return 2;
   }
 }
+
+// Host-probe sizing: each thread runs SGD updates over kProbeRatings
+// synthetic ratings on P and Q rows that fill kProbeFactorBytes (768 KiB +
+// 96 KiB of ratings: under 1 MiB per thread for any k <= 6144).  A round is
+// about kProbeRoundBytes of Eq. 2 traffic (a fraction of a millisecond on
+// a current core), started on every probing thread at once; a thread's
+// rate is the median of kProbeRounds rounds after one warm-up round.
+// Fixed work, not fixed time: two threads sharing a CPU then take longer
+// per round, instead of each timing a window it ran alone.
+constexpr std::size_t kProbeRatings = 8192;
+constexpr std::size_t kProbeFactorBytes = 768 * 1024;
+constexpr double kProbeRoundBytes = 4.0 * 1024 * 1024;
+constexpr std::size_t kProbeRounds = 5;
+constexpr std::uint64_t kProbeSeed = 0x5eedb10c;
+
+/// Lines up the probe's rounds across its threads.  It spins (yielding)
+/// instead of sleeping: a parked thread can take milliseconds to be woken
+/// on a virtualized host, which would stagger the rounds it aligns.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(std::size_t count) : count_(count) {}
+
+  void arrive_and_wait() {
+    const std::size_t generation = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == count_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      generation_.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    while (generation_.load(std::memory_order_acquire) == generation) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  const std::size_t count_;
+  std::atomic<std::size_t> arrived_{0};
+  std::atomic<std::size_t> generation_{0};
+};
+
+/// One probing thread's private synthetic block.
+class ProbeBlock {
+ public:
+  /// Sized and filled on the probing thread, so it is first-touched there.
+  explicit ProbeBlock(std::uint32_t k)
+      : k_(k),
+        rows_(std::clamp<std::size_t>(
+            kProbeFactorBytes / (2 * sizeof(float) * k), 16, 4096)),
+        p_(rows_ * k),
+        q_(rows_ * k),
+        ratings_(kProbeRatings),
+        updates_(std::clamp<std::size_t>(
+            static_cast<std::size_t>(kProbeRoundBytes / (16.0 * k + 4.0)),
+            256, 16384)) {
+    // Factors start with <p, q> = 3, near the ratings, so the sweeps stay
+    // in the normal float range.  A constant fill keeps the set-up cheap;
+    // the kernel's cost does not depend on the values.
+    const float init = std::sqrt(3.0f / static_cast<float>(k));
+    std::fill(p_.begin(), p_.end(), init);
+    std::fill(q_.begin(), q_.end(), init);
+    util::Rng rng(kProbeSeed);
+    for (data::Rating& e : ratings_) {
+      e.u = static_cast<std::uint32_t>(rng.uniform_u64(rows_));
+      e.i = static_cast<std::uint32_t>(rng.uniform_u64(rows_));
+      e.r = static_cast<float>(1.0 + 4.0 * rng.uniform());
+    }
+  }
+
+  /// Eq. 2 effective bandwidth (GB/s) of one round of updates.
+  double round() {
+    const util::Stopwatch watch;
+    for (std::size_t done = 0; done < updates_;) {
+      const std::size_t sweep = std::min(ratings_.size(), updates_ - done);
+      for (std::size_t j = 0; j < sweep; ++j) {
+        const data::Rating& e = ratings_[j];
+        mf::sgd_update_dispatch(&p_[std::size_t(e.u) * k_],
+                                &q_[std::size_t(e.i) * k_], k_, e.r, 0.005f,
+                                0.05f, 0.05f);
+      }
+      done += sweep;
+    }
+    const double seconds = std::max(watch.seconds(), 1e-9);
+    return static_cast<double>(updates_) * (16.0 * k_ + 4.0) / seconds / 1e9;
+  }
+
+ private:
+  std::uint32_t k_;
+  std::size_t rows_;
+  util::AlignedFloats p_;
+  util::AlignedFloats q_;
+  std::vector<data::Rating> ratings_;
+  std::size_t updates_;  ///< per round
+};
 
 }  // namespace
 
@@ -135,6 +238,43 @@ void EpochExecutor::run_parallel(const std::vector<bool>& alive,
     fn_ = nullptr;
   }
   rethrow_barrier_error();
+}
+
+std::vector<double> EpochExecutor::probe_gbps(const std::vector<bool>& kept,
+                                              std::uint32_t k) {
+  if (kept.size() != n_) {
+    throw std::invalid_argument("probe_gbps: one kept flag per worker");
+  }
+  std::vector<double> gbps(n_, 0.0);
+  const auto threads = std::count(kept.begin(), kept.end(), true);
+  if (threads == 0 || k == 0) return gbps;
+  SpinBarrier sync(static_cast<std::size_t>(threads));
+  std::vector<std::array<double, kProbeRounds>> rounds(n_);
+  run_parallel(kept, [&](std::size_t i) {
+    // A thread that cannot build its block still keeps every barrier, so
+    // its peers finish; the failure surfaces at the executor's barrier.
+    std::optional<ProbeBlock> block;
+    std::exception_ptr failed;
+    try {
+      block.emplace(k);
+    } catch (...) {
+      failed = std::current_exception();
+    }
+    sync.arrive_and_wait();
+    if (block) (void)block->round();  // warm-up: caches, TLB, clock ramp
+    for (double& rate : rounds[i]) {
+      sync.arrive_and_wait();
+      if (block) rate = block->round();
+    }
+    if (failed) std::rethrow_exception(failed);
+  });
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (!kept[i]) continue;
+    auto& r = rounds[i];
+    std::nth_element(r.begin(), r.begin() + kProbeRounds / 2, r.end());
+    gbps[i] = r[kProbeRounds / 2];
+  }
+  return gbps;
 }
 
 void EpochExecutor::rethrow_barrier_error() {

@@ -113,6 +113,19 @@ class EpochExecutor {
                  const std::vector<bool>& alive, Server& server, float lr,
                  float reg_p, float reg_q, util::ThreadPool* pool);
 
+  /// The host-rate probe behind the kParallel grid (host_shares() in
+  /// core/partition.hpp).  Every thread i with `kept[i]`, all at once,
+  /// times the dispatched SGD kernel at rank `k` on a private, fixed-seed
+  /// synthetic block (under 1 MiB of scratch, first-touched on the thread)
+  /// and returns its Eq. 2 effective bandwidth in GB/s: ratings x
+  /// (16k + 4) bytes over the median of several timed rounds, started
+  /// together.  Running on the pipeline threads themselves puts pinning,
+  /// first-touch and the peers' memory traffic into the measurement.
+  /// Touches no model and no slice; takes a few milliseconds.  Threads
+  /// without `kept[i]` report 0.  `kept` must have one entry per worker.
+  std::vector<double> probe_gbps(const std::vector<bool>& kept,
+                                 std::uint32_t k);
+
   /// The generic barrier primitive behind kParallel (public for tests):
   /// runs fn(i) for every i with alive[i] on worker i's
   /// dedicated thread and blocks until all checked in.  Exceptions are

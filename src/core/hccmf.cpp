@@ -30,6 +30,29 @@ std::vector<obs::PhaseTimes> predicted_phases(const sim::EpochConfig& cfg) {
   return predicted;
 }
 
+/// The kParallel counterpart of predicted_phases(): every worker is a host
+/// thread, so its compute is Eq. 2 at its probed bandwidth B_i (its share
+/// of the epoch's nnz (16k + 4) bytes over B_i), and its pull and push move
+/// their raw bytes through host memory at the same rate.
+std::vector<obs::PhaseTimes> host_predicted_phases(
+    const sim::EpochConfig& cfg, const std::vector<double>& gbps) {
+  std::vector<obs::PhaseTimes> predicted = predicted_phases(cfg);
+  const double epoch_bytes = static_cast<double>(cfg.shape.nnz) *
+                             (16.0 * cfg.shape.k + 4.0);
+  for (std::size_t w = 0; w < predicted.size(); ++w) {
+    const sim::WorkerPlan& plan = cfg.workers[w];
+    const double rate = gbps[w] * 1e9;
+    if (plan.share <= 0.0 || !(rate > 0.0)) {
+      predicted[w] = {};
+      continue;
+    }
+    predicted[w].pull_s = plan.comm.pull_raw_bytes / rate;
+    predicted[w].compute_s = plan.share * epoch_bytes / rate;
+    predicted[w].push_s = plan.comm.push_raw_bytes / rate;
+  }
+  return predicted;
+}
+
 std::vector<obs::PhaseTimes> timing_phases(const sim::EpochTiming& timing) {
   std::vector<obs::PhaseTimes> measured(timing.workers.size());
   for (std::size_t w = 0; w < timing.workers.size(); ++w) {
@@ -183,6 +206,7 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
   }
   TrainingLoop loop(config_, shape, train_ratings, grid, report.plan.shares,
                     std::move(specs));
+  report.host_shares = loop.live_shares();
   Server& server = loop.server();
   fault::FaultRuntime& fault_rt = loop.fault_runtime();
   std::vector<TrainWorker>& workers = loop.workers();
@@ -302,15 +326,21 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
 
     // Deadline detection: measured wall clock vs the Eq. 1-5 prediction
     // for the live (possibly degraded) plan, median-normalized across the
-    // surviving workers.
+    // surviving workers.  Under kParallel the workers are host threads,
+    // so their phases are predicted from the probed host rates instead of
+    // the virtual devices they stand in for.
     if (fault_rt.active()) {
       Plan live_plan = report.plan;
       live_plan.shares = loop.live_shares();
       const sim::EpochConfig cfg =
           manager.epoch_config(live_plan, epoch + 1 == config_.sgd.epochs);
+      const std::vector<obs::PhaseTimes> predicted =
+          loop.probe_gbps().empty()
+              ? predicted_phases(cfg)
+              : host_predicted_phases(cfg, loop.probe_gbps());
       er.stragglers.clear();
       const auto mask =
-          fault::straggler_mask(measured, predicted_phases(cfg),
+          fault::straggler_mask(measured, predicted,
                                 config_.fault.deadline_factor, alive);
       for (std::size_t w = 0; w < mask.size(); ++w) {
         if (mask[w]) er.stragglers.push_back(static_cast<std::uint32_t>(w));

@@ -112,7 +112,13 @@ struct FaultSummary {
 
 /// The result of a run.
 struct TrainReport {
+  /// The virtual platform's plan: drives the timing path and the paper's
+  /// tables, and under kSerial the functional grid too.
   Plan plan;
+  /// The shares train() gridded the ratings by: plan.shares under kSerial,
+  /// host_shares() over the probed host rates under kParallel (see
+  /// core/training_loop.hpp).  Empty for simulate().
+  std::vector<double> host_shares;
   std::vector<EpochReport> epochs;
   double total_virtual_s = 0.0;
   double updates_per_s = 0.0;        ///< "computing power" (Eq. 8)

@@ -57,6 +57,31 @@ std::vector<double> dp0_partition(
   return shares;
 }
 
+std::vector<double> host_shares(const std::vector<double>& plan_shares,
+                                const std::vector<double>& gbps) {
+  if (plan_shares.size() != gbps.size()) {
+    throw std::invalid_argument("shares/rates size mismatch");
+  }
+  std::vector<std::size_t> kept;
+  double top = 0.0;
+  for (std::size_t i = 0; i < gbps.size(); ++i) {
+    if (plan_shares[i] > 0.0 && gbps[i] > 0.0 && std::isfinite(gbps[i])) {
+      kept.push_back(i);
+      top = std::max(top, gbps[i]);
+    }
+  }
+  if (kept.empty()) throw std::invalid_argument("no worker with a host rate");
+  // T_i in units of the fastest worker's time.
+  std::vector<double> times;
+  for (const std::size_t i : kept) {
+    times.push_back(std::exp2(std::floor(std::log2(top / gbps[i]))));
+  }
+  const std::vector<double> x = dp0_partition(times);
+  std::vector<double> shares(plan_shares.size(), 0.0);
+  for (std::size_t j = 0; j < kept.size(); ++j) shares[kept[j]] = x[j];
+  return shares;
+}
+
 Dp1Result dp1_partition(const std::vector<double>& initial_shares,
                         const std::vector<bool>& is_gpu,
                         const ComputeMeasure& measure,

@@ -35,15 +35,36 @@ enum class PartitionStrategy {
 const char* partition_strategy_name(PartitionStrategy strategy);
 PartitionStrategy partition_strategy_by_name(const std::string& name);
 
-/// Measures per-worker *compute* seconds for a candidate partition; in
-/// production this runs one profiling epoch (sgd_update in Algorithm 1
-/// line 12), here it queries the platform simulator with jitter.
+/// Measures per-worker *compute* seconds for a candidate partition
+/// (sgd_update in Algorithm 1 line 12).  The DataManager plan answers it
+/// with a jittered epoch of the virtual platform (sim::simulate_epoch), so
+/// DP1/DP2 balance the simulated devices; the functional kParallel grid is
+/// set by host_shares() from rates measured on the host instead.
 using ComputeMeasure =
     std::function<std::vector<double>(const std::vector<double>& shares)>;
 
 /// DP0 (Eq. 6): x_i = (1/T_i_e) / sum_j (1/T_j_e) from the workers'
 /// independent-execution times.
 std::vector<double> dp0_partition(const std::vector<double>& independent_times);
+
+/// The functional grid under ExecMode::kParallel: DP0 (Eq. 6) over rates
+/// measured on this host.  Worker i's independent-run time is
+/// T_i = nnz (16k + 4) / B_i at its probed Eq. 2 effective bandwidth
+/// B_i = `gbps[i]` (see EpochExecutor::probe_gbps); the common factor
+/// cancels in DP0, so the shares are proportional to the rates.  Each B_i
+/// is first snapped up to the power-of-two fraction of the fastest rate at
+/// or above it, B_max 2^-floor(log2(B_max / B_i)): a worker only counts as
+/// slower once it measures under half the fastest.  On a shared or
+/// virtualized host one thread's few-millisecond probe swings by up to ~2x
+/// from run to run (sibling hyperthreads, co-tenants), and where the grid
+/// cuts the rows changes the SGD trajectory, so differences inside that
+/// band must not move the cuts: alike cores get exactly even shares.  Only
+/// workers with a positive `plan_shares[i]` and a positive rate take part:
+/// workers the plan pruned, and dead workers (share 0 after
+/// redistribute_dead_share), stay at 0.  Throws std::invalid_argument on a
+/// size mismatch or when no worker takes part.
+std::vector<double> host_shares(const std::vector<double>& plan_shares,
+                                const std::vector<double>& gbps);
 
 /// Uniform partition.
 std::vector<double> even_partition(std::size_t workers);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/adaptive.hpp"
+#include "core/partition.hpp"
 #include "fault/errors.hpp"
 #include "obs/metrics.hpp"
 #include "sim/platform.hpp"
@@ -176,6 +177,20 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
       break;
     }
   }
+  // One executor serves the whole run.  Under kParallel its per-worker
+  // threads spawn here, for the host probe, and park between epochs.
+  executor_ = std::make_unique<EpochExecutor>(options_.exec, specs_.size());
+  if (options_.exec.mode == ExecMode::kParallel) {
+    // The virtual plan picks which workers run; each one's functional share
+    // is DP0 over what its own thread sustains on this host.
+    obs::ScopedSpan span("host probe", obs::kTrainCategory);
+    std::vector<bool> kept(live_shares_.size());
+    for (std::size_t w = 0; w < kept.size(); ++w) {
+      kept[w] = live_shares_[w] > 0.0;
+    }
+    probe_gbps_ = executor_->probe_gbps(kept, shape_.k);
+    live_shares_ = host_shares(live_shares_, probe_gbps_);
+  }
   auto slices = grid_slices(matrix, grid_, live_shares_);
 
   obs::ScopedSpan init_span("model init", obs::kTrainCategory);
@@ -203,11 +218,15 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
   if (options_.host_threads > 0) {
     pool_ = std::make_unique<util::ThreadPool>(options_.host_threads);
   }
-  // One executor serves the whole run; under kParallel its per-worker
-  // threads spawn on the first epoch and park between epochs.
-  executor_ = std::make_unique<EpochExecutor>(options_.exec, workers_.size());
 
   auto& reg = obs::registry();
+  for (std::size_t w = 0; w < live_shares_.size(); ++w) {
+    const std::string worker = "worker" + std::to_string(w);
+    reg.gauge(worker + ".share").set(live_shares_[w]);
+    if (!probe_gbps_.empty()) {
+      reg.gauge(worker + ".probe_gbps").set(probe_gbps_[w]);
+    }
+  }
   reg.gauge("exec.mode").set(
       options_.exec.mode == ExecMode::kParallel ? 1.0 : 0.0);
   reg.gauge("exec.stripes").set(static_cast<double>(stripes));
@@ -263,7 +282,8 @@ void TrainingLoop::refresh_item_weights() {
 void TrainingLoop::repartition(std::vector<double> shares,
                                std::vector<bool> alive) {
   alive_ = std::move(alive);
-  live_shares_ = std::move(shares);
+  live_shares_ = probe_gbps_.empty() ? std::move(shares)
+                                     : host_shares(shares, probe_gbps_);
   build_workers(grid_slices(pristine_, grid_, live_shares_));
   refresh_item_weights();
 }

@@ -7,6 +7,8 @@
 //  - the Server, built from the row-grid slices (mean-rating init), and
 //    every worker's per-item merge weights;
 //  - the fault runtime, the checkpoint store and the EpochExecutor;
+//  - under kParallel, the grid itself: DP0 over each worker thread's
+//    probed host rate (the virtual plan keeps driving the timing path);
 //  - the epoch loop, worker-death recovery (redistribute the dead worker's
 //    rows, absorb them, roll back) and divergence rollback;
 //  - the closing P codec roundtrip.
@@ -129,7 +131,10 @@ class TrainingLoop {
         worker_lost;
   };
 
-  /// Grids `matrix` by `shares`, one worker per spec.  Under a column grid
+  /// Grids `matrix` by `shares`, one worker per spec.  Under kParallel the
+  /// shares only say which workers run: the grid is host_shares() over the
+  /// rates EpochExecutor::probe_gbps measures on the executor's threads,
+  /// before slicing (kSerial grids `shares` as given).  Under a column grid
   /// the loop trains the transpose ("Transmitting P only" is Q-only on the
   /// transpose), read straight out of `matrix`: the slices are its only
   /// copy, unless the plan has a join, which keeps the input.  A chaos
@@ -148,9 +153,10 @@ class TrainingLoop {
   /// dead worker's rows the fault::WorkerFault propagates.
   void run(const Hooks& hooks);
 
-  /// Re-grids the pristine matrix over `shares` (dead workers at 0) and
-  /// rebuilds every worker — a scripted join's repartition.  Only plans
-  /// with a join event keep the pristine matrix.
+  /// Re-grids the pristine matrix over `shares` (dead workers at 0; under
+  /// kParallel, host_shares() of them over the probed rates) and rebuilds
+  /// every worker — a scripted join's repartition.  Only plans with a join
+  /// event keep the pristine matrix.
   void repartition(std::vector<double> shares, std::vector<bool> alive);
 
   /// Rewinds the model, learning rate and epoch cursor to the latest
@@ -161,8 +167,15 @@ class TrainingLoop {
   Server& server() noexcept { return *server_; }
   std::vector<TrainWorker>& workers() noexcept { return workers_; }
   const std::vector<bool>& alive() const noexcept { return alive_; }
+  /// The shares the ratings are gridded by (under kParallel the host-probe
+  /// partition), after any dead worker's share was redistributed.
   const std::vector<double>& live_shares() const noexcept {
     return live_shares_;
+  }
+  /// Each worker's probed Eq. 2 effective bandwidth in GB/s (0 for workers
+  /// the plan pruned); empty under kSerial, which runs no probe.
+  const std::vector<double>& probe_gbps() const noexcept {
+    return probe_gbps_;
   }
   fault::FaultRuntime& fault_runtime() noexcept { return fault_rt_; }
   std::uint32_t epoch() const noexcept { return epoch_; }
@@ -203,6 +216,7 @@ class TrainingLoop {
   std::vector<TrainWorker> workers_;
   std::vector<bool> alive_;
   std::vector<double> live_shares_;
+  std::vector<double> probe_gbps_;
   std::vector<std::uint32_t> dead_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<EpochExecutor> executor_;

@@ -11,7 +11,9 @@ namespace hcc::mf {
 /// (the paper's convergence metric in Figure 7).
 double rmse(const FactorModel& model, const data::RatingMatrix& ratings);
 
-/// Parallel RMSE using a pool; identical result, used on larger test sets.
+/// Parallel RMSE using a pool.  Both overloads add the squared errors in
+/// the same fixed blocks and reduce the block sums in order, so they return
+/// bit-identical results for every pool size.
 double rmse(const FactorModel& model, const data::RatingMatrix& ratings,
             util::ThreadPool& pool);
 
