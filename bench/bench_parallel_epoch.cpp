@@ -1,12 +1,12 @@
-// Concurrent epoch executor baseline: serial vs parallel wall clock.
+// Epoch engine baseline: serial vs parallel wall clock.
 //
-// Runs the same functional training problem under ExecMode::kSerial (the
-// legacy single-host-thread loop) and ExecMode::kParallel (per-worker
-// pipeline threads + striped server merge, see docs/parallel_execution.md),
-// then sweeps the stripe count to show where the merge stops serializing.
+// Runs the same functional training problem under ExecMode::kSerial (every
+// chunk phase inline on one host thread) and ExecMode::kParallel (each
+// phase on one thread per worker; see docs/parallel_execution.md).  Both
+// merge the pushes in worker order on the calling thread.
 // `--json-out BENCH_parallel.json` persists the numbers as the repo's
-// recorded baseline; CI re-runs this on a multi-core runner and asserts
-// parallel beats serial.
+// recorded baseline, stamped with the host's CPU count and SIMD ISA; CI
+// re-runs this on a multi-core runner and asserts parallel beats serial.
 //
 // Flags: --json-out=PATH   machine-readable output (JsonReport format)
 //        --scale=S         netflix scale factor (default 0.01)
@@ -22,10 +22,9 @@
 
 #include "bench_common.hpp"
 #include "core/hccmf.hpp"
-#include "fault/plan.hpp"
 #include "data/datasets.hpp"
-#include "obs/metrics.hpp"
 #include "sim/platform.hpp"
+#include "simd/dispatch.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -35,23 +34,14 @@ namespace {
 
 struct RunResult {
   std::string label;
-  std::uint32_t stripes = 0;
   double wall_s = 0.0;
   double final_rmse = 0.0;
-  double speedup = 1.0;             ///< serial wall / this wall
-  std::uint64_t contention = 0;     ///< stripe try_lock misses during the run
-  std::uint64_t stripe_locks = 0;   ///< stripe acquisitions during the run
-  std::uint64_t steal_chunks = 0;   ///< chunks stolen during the run
+  double speedup = 1.0;  ///< serial wall / this wall
 };
 
 RunResult run_once(const std::string& label, core::HccMfConfig config,
                    const data::RatingMatrix& train,
                    const data::RatingMatrix& test) {
-  auto& reg = obs::registry();
-  const std::uint64_t contention0 = reg.counter("server.stripe_contention").value();
-  const std::uint64_t locks0 = reg.counter("server.stripe_locks").value();
-  const std::uint64_t steals0 = reg.counter("steal.chunks").value();
-
   core::HccMf framework(std::move(config));
   const auto t0 = std::chrono::steady_clock::now();
   const core::TrainReport report = framework.train(train, &test);
@@ -61,24 +51,9 @@ RunResult run_once(const std::string& label, core::HccMfConfig config,
 
   RunResult r;
   r.label = label;
-  r.stripes = static_cast<std::uint32_t>(reg.gauge("exec.stripes").value());
   r.wall_s = wall;
   r.final_rmse = report.epochs.back().test_rmse;
-  r.contention = reg.counter("server.stripe_contention").value() - contention0;
-  r.stripe_locks = reg.counter("server.stripe_locks").value() - locks0;
-  r.steal_chunks = reg.counter("steal.chunks").value() - steals0;
   return r;
-}
-
-/// A stall:w0@eNx4 event for every epoch: worker 0 really runs 4x slower
-/// for the whole training (see FaultOptions::real_stalls).
-fault::FaultPlan every_epoch_stall(std::uint32_t epochs) {
-  std::string spec;
-  for (std::uint32_t e = 0; e < epochs; ++e) {
-    if (!spec.empty()) spec += ';';
-    spec += "stall:w0@e" + std::to_string(e) + "x4";
-  }
-  return fault::FaultPlan::parse(spec);
 }
 
 }  // namespace
@@ -93,9 +68,9 @@ int main(int argc, char** argv) {
   const std::uint32_t n_workers =
       static_cast<std::uint32_t>(cli.get("workers", std::int64_t{4}));
 
-  bench::banner("Concurrent epoch executor: serial vs parallel wall clock",
-                "per-worker pipeline threads + striped server merge "
-                "(docs/parallel_execution.md)");
+  bench::banner("Epoch engine: serial vs parallel wall clock",
+                "chunk phases on one thread per worker, merges in worker "
+                "order (docs/parallel_execution.md)");
 
   const data::DatasetSpec spec = data::netflix_spec().scaled(scale);
   data::GeneratorConfig gen;
@@ -126,22 +101,14 @@ int main(int argc, char** argv) {
   report.meta("workers", static_cast<double>(n_workers));
   report.meta("host_cpus",
               static_cast<double>(std::thread::hardware_concurrency()));
+  report.meta("isa", simd::kernels().name);
 
   std::vector<RunResult> results;
-
   results.push_back(run_once("serial", base_config(), train, test));
   {
     core::HccMfConfig config = base_config();
     config.exec.mode = core::ExecMode::kParallel;
-    results.push_back(run_once("parallel (auto stripes)", std::move(config),
-                               train, test));
-  }
-  for (const std::uint32_t stripes : {1u, 2u, 8u, 32u}) {
-    core::HccMfConfig config = base_config();
-    config.exec.mode = core::ExecMode::kParallel;
-    config.exec.stripes = stripes;
-    results.push_back(run_once("parallel s=" + std::to_string(stripes),
-                               std::move(config), train, test));
+    results.push_back(run_once("parallel", std::move(config), train, test));
   }
 
   const double serial_wall = results.front().wall_s;
@@ -149,67 +116,18 @@ int main(int argc, char** argv) {
     r.speedup = r.wall_s > 0.0 ? serial_wall / r.wall_s : 0.0;
   }
 
-  util::Table table({"mode", "stripes", "wall s", "speedup vs serial",
-                     "final rmse", "stripe locks", "contention"});
+  util::Table table({"mode", "wall s", "speedup vs serial", "final rmse"});
   for (const auto& r : results) {
-    table.add_row({r.label, std::to_string(r.stripes),
-                   util::Table::num(r.wall_s, 3),
+    table.add_row({r.label, util::Table::num(r.wall_s, 3),
                    util::Table::num(r.speedup, 2) + "x",
-                   util::Table::num(r.final_rmse, 4),
-                   std::to_string(r.stripe_locks),
-                   std::to_string(r.contention)});
-    report.add_row(
-        "runs",
-        {{"mode", bench::JsonReport::quote(r.label)},
-         {"stripes", bench::JsonReport::number(static_cast<double>(r.stripes))},
-         {"wall_s", bench::JsonReport::number(r.wall_s)},
-         {"speedup_vs_serial", bench::JsonReport::number(r.speedup)},
-         {"final_rmse", bench::JsonReport::number(r.final_rmse)},
-         {"stripe_locks",
-          bench::JsonReport::number(static_cast<double>(r.stripe_locks))},
-         {"stripe_contention",
-          bench::JsonReport::number(static_cast<double>(r.contention))}});
+                   util::Table::num(r.final_rmse, 4)});
+    report.add_row("runs",
+                   {{"mode", bench::JsonReport::quote(r.label)},
+                    {"wall_s", bench::JsonReport::number(r.wall_s)},
+                    {"speedup_vs_serial", bench::JsonReport::number(r.speedup)},
+                    {"final_rmse", bench::JsonReport::number(r.final_rmse)}});
   }
   table.print(std::cout);
-
-  // Straggler recovery: worker 0 really stalls 4x every epoch (the compute
-  // thread sleeps, not just the virtual clock).  Without stealing the epoch
-  // barrier waits for it; with stealing the drained workers take chunks off
-  // its queue.  `recovered` = stalled no-steal wall / stalled steal wall.
-  std::vector<RunResult> straggler;
-  for (const bool steal : {false, true}) {
-    core::HccMfConfig config = base_config();
-    config.exec.mode = core::ExecMode::kParallel;
-    config.exec.steal = steal;
-    config.fault.plan = every_epoch_stall(epochs);
-    config.fault.real_stalls = true;
-    straggler.push_back(run_once(steal ? "straggler steal"
-                                       : "straggler no-steal",
-                                 std::move(config), train, test));
-  }
-  const double recovered = straggler[1].wall_s > 0.0
-                               ? straggler[0].wall_s / straggler[1].wall_s
-                               : 0.0;
-
-  util::Table stable({"mode", "wall s", "recovered", "final rmse",
-                      "steal chunks"});
-  for (const auto& r : straggler) {
-    const bool is_steal = &r == &straggler[1];
-    stable.add_row({r.label, util::Table::num(r.wall_s, 3),
-                    is_steal ? util::Table::num(recovered, 2) + "x" : "-",
-                    util::Table::num(r.final_rmse, 4),
-                    std::to_string(r.steal_chunks)});
-    report.add_row(
-        "straggler",
-        {{"mode", bench::JsonReport::quote(r.label)},
-         {"wall_s", bench::JsonReport::number(r.wall_s)},
-         {"recovered", bench::JsonReport::number(is_steal ? recovered : 1.0)},
-         {"final_rmse", bench::JsonReport::number(r.final_rmse)},
-         {"steal_chunks",
-          bench::JsonReport::number(static_cast<double>(r.steal_chunks))}});
-  }
-  std::cout << '\n';
-  stable.print(std::cout);
 
   std::cout << "\nnote: the speedup needs real cores; a 1-CPU host records "
                "thread-switching overhead, not concurrency\n";

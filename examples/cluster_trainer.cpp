@@ -4,9 +4,10 @@
 // with the two-level HCC (see src/cluster/), printing per-global-epoch RMSE
 // and the timing decomposition: node compute vs network vs global sync.
 //
-// --exec-mode=parallel runs each node's pull/train/push pipeline on its own
-// thread against a striped global server (the functional analogue of real
-// cluster nodes working concurrently; see docs/parallel_execution.md).
+// --exec-mode=parallel runs each node's pull and local training on its own
+// thread (the functional analogue of real cluster nodes working
+// concurrently); the global server still merges the pushes in node order
+// (see docs/parallel_execution.md).
 //
 // --schedule/--tile-kb pick each node's visit order over its slice (see
 // docs/locality.md); --pin pins the parallel executor's node threads
@@ -26,7 +27,7 @@
 //                     [--transport=in-process|sim-latency|chaos] [--link=NAME]
 //                     [--heartbeat-ms=MS] [--timeout-ms=MS]
 //                     [--reconnect-budget=N]
-//                     [--exec-mode=serial|parallel] [--stripes=N]
+//                     [--exec-mode=serial|parallel]
 //                     [--schedule=asis|shuffled|tiled] [--tile-kb=KB] [--pin]
 //                     [--trace-out=trace.json] [--metrics-out=metrics.json]
 #include <iostream>
@@ -71,15 +72,7 @@ int main(int argc, char** argv) {
   config.dataset_name = spec.name;
   config.exec.mode =
       core::parse_exec_mode(cli.get("exec-mode", std::string("serial")));
-  config.exec.stripes =
-      static_cast<std::uint32_t>(cli.get("stripes", std::int64_t{0}));
   config.exec.pin_threads = cli.get("pin", false);
-  // Work stealing across nodes (parallel mode, local_epochs == 1; train()
-  // rejects other combinations): drained nodes take chunks from the
-  // slowest node's queue mid-epoch.
-  config.exec.steal = cli.get("steal", false);
-  config.exec.chunk_ratings =
-      static_cast<std::uint32_t>(cli.get("chunk", std::int64_t{0}));
   config.schedule.policy =
       data::parse_schedule(cli.get("schedule", std::string("asis")));
   config.schedule.tile_kb = static_cast<std::uint32_t>(

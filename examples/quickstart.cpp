@@ -20,9 +20,10 @@
 // max(4 x RTT, 3 x heartbeat) from the cost model).
 //
 // --exec-mode picks how the functional epoch runs (see
-// docs/parallel_execution.md): "serial" (default, deterministic) or
-// "parallel" (per-worker pipeline threads against a striped server merge;
-// --stripes overrides the auto stripe count).
+// docs/parallel_execution.md): "serial" (default, every phase on one
+// thread) or "parallel" (one thread per worker, gridded by a host probe);
+// both merge the pushes in worker order.  --real-stalls makes scripted
+// stall:* events actually sleep the stalled worker's compute.
 //
 // --schedule picks each worker's visit order over its rating slice (see
 // docs/locality.md): "asis" (default, bit-identical legacy order),
@@ -53,8 +54,7 @@
 //                [--fault-plan=SPEC] [--checkpoint-dir=DIR]
 //                [--transport=in-process|sim-latency|chaos] [--link=NAME]
 //                [--heartbeat-ms=MS] [--timeout-ms=MS] [--reconnect-budget=N]
-//                [--exec-mode=serial|parallel] [--stripes=N]
-//                [--steal] [--chunk=N] [--real-stalls]
+//                [--exec-mode=serial|parallel] [--real-stalls]
 //                [--schedule=asis|shuffled|tiled] [--tile-kb=KB] [--pin]
 #include <cstdio>
 #include <iostream>
@@ -145,22 +145,12 @@ int main(int argc, char** argv) {
       cli.get("reconnect-budget",
               std::int64_t{config.comm.transport.reconnect_budget}));
 
-  // Execution mode: serial (deterministic legacy loop) or parallel
-  // (per-worker pipeline threads + striped server merge).
+  // Execution mode: serial (every phase on this thread) or parallel (one
+  // thread per worker); --real-stalls makes scripted stall:* events sleep
+  // the compute thread, so the straggler is on the wall clock.
   config.exec.mode =
       core::parse_exec_mode(cli.get("exec-mode", std::string("serial")));
-  config.exec.stripes =
-      static_cast<std::uint32_t>(cli.get("stripes", std::int64_t{0}));
   config.exec.pin_threads = cli.get("pin", false);
-
-  // Work stealing (parallel mode only): chunk the rating order onto
-  // per-worker deques so drained workers help stragglers mid-epoch.
-  // --chunk overrides the auto chunk size (ratings per chunk);
-  // --real-stalls makes scripted stall:* events actually sleep the compute
-  // thread, so stealing has a wall-clock straggler to recover from.
-  config.exec.steal = cli.get("steal", false);
-  config.exec.chunk_ratings =
-      static_cast<std::uint32_t>(cli.get("chunk", std::int64_t{0}));
   config.fault.real_stalls = cli.get("real-stalls", false);
 
   // Cache-aware rating schedule (docs/locality.md): visit order over each

@@ -24,11 +24,6 @@ std::vector<core::ConfigError> HierarchicalConfig::validate() const {
     errors.push_back({core::ConfigErrorCode::kZeroLocalEpochs,
                       "local_epochs is 0"});
   }
-  if (exec.steal && local_epochs > 1) {
-    errors.push_back({core::ConfigErrorCode::kStealNeedsOneLocalEpoch,
-                      "exec.steal requires local_epochs == 1 (stolen chunks "
-                      "run a single pass)"});
-  }
   return errors;
 }
 

@@ -34,9 +34,10 @@ namespace hcc::cluster {
 /// Configuration of a hierarchical run: the shared TrainingOptions plus the
 /// cluster fields.  `comm` is used at both levels (FP16 etc.);
 /// `host_threads` are the functional ASGD threads per node.  `exec` runs
-/// the global epoch: kSerial iterates the nodes on one thread, kParallel
-/// runs each node's pull/train/push on its own thread against a striped
-/// global server — the closest functional analogue of real cluster nodes.
+/// the global epoch: kSerial runs the nodes' pull/train on one thread,
+/// kParallel each node's on its own thread — the closest functional
+/// analogue of real cluster nodes; either way the global server merges the
+/// pushes in node order on one thread.
 /// `fault` is elastic membership at cluster scope: kill events address
 /// *nodes*, `join:w<N>@e<E>` re-admits one, chaos transport events drive
 /// each node's link to the global server, and node death (kill or an

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "core/server.hpp"
-#include "core/steal_queue.hpp"
 #include "core/worker.hpp"
 #include "data/rating_matrix.hpp"
 #include "fault/errors.hpp"
@@ -143,16 +142,6 @@ ExecMode parse_exec_mode(const std::string& name) {
   if (name == "parallel") return ExecMode::kParallel;
   throw std::invalid_argument("unknown exec mode: \"" + name +
                               "\" (expected serial|parallel)");
-}
-
-std::uint32_t resolve_stripes(const ExecOptions& opts, std::uint32_t items,
-                              std::size_t workers) {
-  if (opts.mode == ExecMode::kSerial) return 1;
-  const std::uint32_t want =
-      opts.stripes > 0
-          ? opts.stripes
-          : 8 * static_cast<std::uint32_t>(std::max<std::size_t>(1, workers));
-  return std::clamp(want, 1u, std::max(1u, items));
 }
 
 EpochExecutor::EpochExecutor(const ExecOptions& options, std::size_t n_workers)
@@ -297,114 +286,53 @@ void EpochExecutor::rethrow_barrier_error() {
   if (winner) std::rethrow_exception(winner);
 }
 
+void EpochExecutor::run_phase(const std::vector<bool>& alive,
+                              const std::function<void(std::size_t)>& fn) {
+  if (options_.mode == ExecMode::kParallel) {
+    run_parallel(alive, fn);
+    return;
+  }
+  // Inline: every worker runs even after a peer threw, exactly as the
+  // parked threads would, so the fault injector sees the same checks and
+  // the same exception wins at any thread count.
+  for (std::size_t i = 0; i < n_; ++i) {
+    errors_[i] = nullptr;
+    if (i >= alive.size() || !alive[i]) continue;
+    try {
+      fn(i);
+    } catch (...) {
+      errors_[i] = std::current_exception();
+    }
+  }
+  rethrow_barrier_error();
+}
+
 void EpochExecutor::run_epoch(std::vector<TrainWorker>& workers,
                               const std::vector<bool>& alive, Server& server,
                               float lr, float reg_p, float reg_q,
                               util::ThreadPool* pool) {
-  if (options_.mode == ExecMode::kSerial) {
-    // For each chunk, all pulls, then all computes, then all pushes, in
-    // worker order: one fixed merge (and float arithmetic) order — the
-    // determinism contract behind kSerial.
-    std::uint32_t max_streams = 1;
-    for (auto& w : workers) {
-      if (alive[w.id()]) w.prepare_epoch();
-      max_streams = std::max(max_streams, w.streams());
+  std::uint32_t max_streams = 1;
+  for (const auto& w : workers) max_streams = std::max(max_streams, w.streams());
+  std::vector<bool> active(workers.size());
+  for (std::uint32_t chunk = 0; chunk < max_streams; ++chunk) {
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      active[i] = i < alive.size() && alive[i] && chunk < workers[i].streams();
     }
-    for (std::uint32_t chunk = 0; chunk < max_streams; ++chunk) {
-      for (auto& w : workers) {
-        if (alive[w.id()] && chunk < w.streams()) w.pull(server);
-      }
-      for (auto& w : workers) {
-        if (alive[w.id()] && chunk < w.streams()) {
-          w.compute_chunk(server, chunk, lr, reg_p, reg_q, pool);
-        }
-      }
-      for (auto& w : workers) {
-        if (alive[w.id()] && chunk < w.streams()) w.push(server);
-      }
-    }
-    return;
-  }
-  if (!options_.steal) {
-    run_parallel(alive, [&](std::size_t i) {
-      // The reorder runs on the worker's own (possibly pinned) thread so
-      // the permuted entries are first-touched where they will be streamed.
-      workers[i].prepare_epoch();
-      workers[i].run_pipeline(server, lr, reg_p, reg_q, pool);
-    });
-    return;
-  }
-
-  // Work-stealing epoch: one shared chunk scheduler per epoch.  Chunk
-  // targets come from the previous epoch's effective-bandwidth gauges — a
-  // measured straggler gets smaller chunks, so more of its backlog is
-  // stealable and its unstealable last chunk is short.
-  std::size_t n_alive = 0;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (i < alive.size() && alive[i]) ++n_alive;
-  }
-  StealScheduler sched(workers.size(), n_alive);
-  auto& reg = obs::registry();
-  std::vector<double> gbps(workers.size(), 0.0);
-  double gbps_sum = 0.0;
-  std::size_t gbps_n = 0;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (!alive[i]) continue;
-    const obs::Gauge* g =
-        reg.find_gauge("worker" + std::to_string(i) + ".effective_gbps");
-    if (g != nullptr && g->value() > 0.0) {
-      gbps[i] = g->value();
-      gbps_sum += gbps[i];
-      ++gbps_n;
-    }
-  }
-  const double gbps_mean =
-      gbps_n > 0 ? gbps_sum / static_cast<double>(gbps_n) : 0.0;
-  std::vector<std::size_t> targets(workers.size(), 0);
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (!alive[i]) continue;
-    targets[i] = resolve_chunk_target(workers[i].assigned_nnz(),
-                                      options_.chunk_ratings, gbps[i],
-                                      gbps_mean);
-  }
-
-  run_parallel(alive, [&](std::size_t i) {
-    try {
-      workers[i].prepare_epoch();
+    // Pulls only read the global Q and computes write only the workers' own
+    // P rows and local Q copies, so the phase is race-free on any number of
+    // threads.  The reorder runs on the worker's own (possibly pinned)
+    // thread so the permuted entries are first-touched where they stream.
+    run_phase(active, [&](std::size_t i) {
+      if (chunk == 0) workers[i].prepare_epoch();
       workers[i].pull(server);
-      // Chunks are published only after the pull: stealing runs against a
-      // consistent epoch-start view, and next_chunk's registration wait
-      // keeps anyone from draining a queue before the real backlogs exist.
-      sched.install(i, workers[i].make_chunks(targets[i]));
-      WorkChunk chunk;
-      while (sched.next_chunk(i, chunk)) {
-        try {
-          if (chunk.owner == static_cast<std::uint32_t>(i)) {
-            workers[i].compute_own_range(server, chunk.lo, chunk.hi, lr,
-                                         reg_p, reg_q, pool);
-          } else {
-            workers[i].compute_stolen(server, workers[chunk.owner], chunk.lo,
-                                      chunk.hi, lr, reg_p, reg_q);
-          }
-        } catch (...) {
-          // Release the row claim before aborting, or a peer parked on it
-          // would never re-check the abort flag.
-          sched.complete(chunk);
-          throw;
-        }
-        sched.complete(chunk);
-      }
-      workers[i].guard_divergence();
-      workers[i].push(server);
-    } catch (...) {
-      // Wake everyone (registration wait, claim wait) so the epoch barrier
-      // is reached; peers push whatever they finished, and the recovery
-      // paths roll the partial epoch back from the checkpoint exactly as
-      // in the non-stealing executor.
-      sched.abort();
-      throw;
+      workers[i].compute_chunk(server, chunk, lr, reg_p, reg_q, pool);
+    });
+    // The merges, in worker order on this thread: kSerial's arithmetic
+    // order for every Q element, whatever ran the phase.
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      if (active[i]) workers[i].push(server);
     }
-  });
+  }
 }
 
 }  // namespace hcc::core

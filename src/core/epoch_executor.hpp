@@ -1,26 +1,22 @@
-// Concurrent epoch executor (Figure 6, Strategy 3 — for real this time).
+// The epoch engine (Figure 6's pull -> compute -> push, Eq. 3's sync).
 //
-// The paper's headline claim is *collaborative* execution: every CPU/GPU
-// worker runs its own pull -> compute -> push pipeline concurrently, with
-// the server merge (Eq. 3's T_sync) either overlapped or hidden.  This
-// executor provides the two execution modes behind that claim:
+// One chunk-phase loop serves both execution modes.  For each chunk index,
+// every alive worker that has that chunk runs pull and compute_chunk (plus
+// prepare_epoch before chunk 0); after the phase barrier the caller runs
+// every such worker's push — codec transfer and Server::sync_q — in worker
+// order.  Nothing writes the global Q while a phase runs, so the pulls are
+// plain reads and every Q element sees the same merge order, hence the
+// same float arithmetic, at any thread count:
 //
-//  - kSerial   runs every worker on one host thread, interleaved phase by
-//              phase, chunk by chunk, in worker order — deterministic, which
-//              is why it stays the default (tests/golden_trajectory_test.cpp
-//              pins its trajectories).
-//  - kParallel gives each worker a dedicated thread running its *entire*
-//              chunked pipeline independently (per-worker pipelines, in the
-//              HogWild / FPSGD tradition adapted to our parameter-server
-//              shape).  Workers join at an epoch barrier; exceptions
-//              (fault::WorkerFault, fault::DivergenceError) are captured
-//              per thread and the highest-priority one is rethrown at the
-//              barrier, so the training loop's recovery/rollback paths
-//              (core/training_loop.hpp) serve both modes.
+//  - kSerial   runs each phase inline on the caller's thread.
+//  - kParallel runs each phase on one parked thread per worker.
 //
-// Under kParallel the Server's Q is partitioned into row-range stripes with
-// per-stripe mutexes (see core/server.hpp) so merges from different workers
-// proceed concurrently instead of serializing the whole T_sync term.
+// A fault thrown inside a phase (fault::WorkerFault, fault::DivergenceError,
+// anything else) is captured per worker; the phase then merges nothing, and
+// the highest-ranked exception is rethrown so the training loop's
+// recovery/rollback paths (core/training_loop.hpp) serve both modes.  The
+// inline dispatch captures and ranks the same way, so fault behaviour does
+// not depend on the thread count either.
 //
 // The workers are the devices of one node under HccMf and whole nodes under
 // cluster::HierarchicalHcc; a node's local epochs are SGD passes inside its
@@ -47,34 +43,23 @@ class TrainWorker;
 
 /// How one functional epoch executes across the workers.
 enum class ExecMode : std::uint8_t {
-  kSerial,    ///< interleaved loop, one host thread, deterministic
-  kParallel,  ///< per-worker pipeline threads + striped server merge
+  kSerial,    ///< every phase inline on the caller's thread
+  kParallel,  ///< every phase on one thread per worker
 };
 
-/// Everything configurable about the executor.
+/// Everything configurable about the executor.  Without a per-worker
+/// thread pool both modes compute the same floats on the same grid; they
+/// differ in thread count and, in the training loop, in the grid itself
+/// (kSerial grids by the plan shares, kParallel by the probed host rates —
+/// see TrainingLoop).
 struct ExecOptions {
   ExecMode mode = ExecMode::kSerial;
-  /// Q stripes for the server merge under kParallel (0 = auto: 8 per
-  /// worker, clamped to the item count).  kSerial always runs 1 stripe so
-  /// the merge arithmetic order is the worker order.
-  std::uint32_t stripes = 0;
-  /// Pin each worker's pipeline thread to a CPU (round-robin over the
-  /// online set) under kParallel.  With pinning on, the worker's lazily
-  /// sized buffers are first-touched on the thread that will stream them
-  /// every epoch — on a NUMA host that keeps local Q, the snapshot and the
-  /// staging buffers on the worker's own node (see util/affinity.hpp).
+  /// Pin each worker's thread to a CPU (round-robin over the online set)
+  /// under kParallel.  With pinning on, the worker's lazily sized buffers
+  /// are first-touched on the thread that will stream them every epoch —
+  /// on a NUMA host that keeps local Q, the snapshot and the staging
+  /// buffers on the worker's own node (see util/affinity.hpp).
   bool pin_threads = false;
-  /// Work stealing under kParallel (see core/steal_queue.hpp): each
-  /// worker's prepared rating order is cut into chunks on a per-worker
-  /// deque; a worker that drains its own deque steals from the tail of the
-  /// fullest peer's, so a mid-epoch straggler sheds its backlog instead of
-  /// holding the epoch barrier.  Supersedes the per-worker stream pipeline
-  /// (one pull, a chunk-drain loop, one push per epoch).  Off by default.
-  bool steal = false;
-  /// Target ratings per chunk under `steal` (0 = auto: assigned_nnz / 16
-  /// per worker, rescaled every epoch by the worker's measured
-  /// effective_gbps relative to the mean — see resolve_chunk_target).
-  std::uint32_t chunk_ratings = 0;
 };
 
 /// "serial" / "parallel" (CLI + logging).
@@ -83,14 +68,9 @@ const char* exec_mode_name(ExecMode mode);
 /// Parses "serial" / "parallel"; throws std::invalid_argument otherwise.
 ExecMode parse_exec_mode(const std::string& name);
 
-/// Stripe count the server should run: 1 under kSerial; under kParallel
-/// `opts.stripes`, or 8 per worker when 0 — always clamped to [1, items].
-std::uint32_t resolve_stripes(const ExecOptions& opts, std::uint32_t items,
-                              std::size_t workers);
-
 /// Runs the workers of one epoch, in either mode.  One executor serves a
 /// whole training run; its worker threads (kParallel) are spawned lazily on
-/// the first epoch and parked on a barrier between epochs.
+/// first use and parked on a barrier between phases.
 class EpochExecutor {
  public:
   /// `n_workers` fixes the thread-pool width (one thread per worker).
@@ -104,11 +84,10 @@ class EpochExecutor {
   ExecMode mode() const noexcept { return options_.mode; }
   const ExecOptions& options() const noexcept { return options_; }
 
-  /// One full functional epoch over `workers`:
-  ///  - kSerial: for each chunk, all pulls, then all computes, then all
-  ///    pushes, in worker order.
-  ///  - kParallel: each alive worker's TrainWorker::run_pipeline on its
-  ///    dedicated thread, joined at the epoch barrier.
+  /// One full functional epoch over `workers`, chunk phase by chunk phase
+  /// (see the file comment).  A phase in which any worker threw merges
+  /// nothing; its ranked winner propagates.  A push that throws propagates
+  /// at once, leaving the later workers' pushes of that phase unmerged.
   void run_epoch(std::vector<TrainWorker>& workers,
                  const std::vector<bool>& alive, Server& server, float lr,
                  float reg_p, float reg_q, util::ThreadPool* pool);
@@ -119,7 +98,7 @@ class EpochExecutor {
   /// synthetic block (under 1 MiB of scratch, first-touched on the thread)
   /// and returns its Eq. 2 effective bandwidth in GB/s: ratings x
   /// (16k + 4) bytes over the median of several timed rounds, started
-  /// together.  Running on the pipeline threads themselves puts pinning,
+  /// together.  Running on the worker threads themselves puts pinning,
   /// first-touch and the peers' memory traffic into the measurement.
   /// Touches no model and no slice; takes a few milliseconds.  Threads
   /// without `kept[i]` report 0.  `kept` must have one entry per worker.
@@ -135,6 +114,12 @@ class EpochExecutor {
   /// concurrent failures surface deterministically.
   void run_parallel(const std::vector<bool>& alive,
                     const std::function<void(std::size_t)>& fn);
+
+  /// One phase in the executor's mode: run_parallel under kParallel;
+  /// under kSerial fn(i) inline for every i with alive[i], in index order,
+  /// with the same per-worker capture and ranked rethrow.
+  void run_phase(const std::vector<bool>& alive,
+                 const std::function<void(std::size_t)>& fn);
 
  private:
   void start_threads();

@@ -267,14 +267,11 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
     std::size_t compute_n = 0;
     for (std::size_t w = 0; w < workers.size(); ++w) {
       const obs::PhaseTimes t = workers[w].take_measured();
-      // Under work stealing a worker's throughput is measured over what
-      // it actually computed (own chunks + steals), not what the grid
-      // assigned it; without stealing the two are identical.
-      const std::size_t done = workers[w].take_computed();
+      const std::size_t nnz = workers[w].assigned_nnz();
       measured[w] = t;
-      if (alive[w] && t.compute_s > 0.0 && done > 0) {
+      if (alive[w] && t.compute_s > 0.0 && nnz > 0) {
         const double bytes =
-            static_cast<double>(done) * (16.0 * shape.k + 4.0);
+            static_cast<double>(nnz) * (16.0 * shape.k + 4.0);
         const double gbps = bytes / t.compute_s / 1e9;
         obs::registry()
             .gauge("worker" + std::to_string(w) + ".effective_gbps")
@@ -302,8 +299,8 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
                     util::kv("sync_s", t.sync_s)});
     }
     // Min/mean/max across the alive workers — the spread *is* the
-    // imbalance signal stealing and DP1 exist to close.  The unsuffixed
-    // gauge keeps its historical max semantics.
+    // imbalance signal the host-probed grid and DP1 exist to close.  The
+    // unsuffixed gauge keeps its historical max semantics.
     obs::registry().gauge("sched.effective_gbps").set(max_gbps);
     obs::registry().gauge("sched.effective_gbps_min").set(min_gbps);
     obs::registry()
@@ -377,9 +374,8 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
   if (evaluating && !report.epochs.empty()) {
     report.epochs.back().test_rmse = test_rmse();
   }
-  // Final quality as a gauge so metrics-only consumers (the CI straggler
-  // smoke compares steal vs no-steal RMSE from the JSON dump) need no
-  // report plumbing.
+  // Final quality as a gauge so metrics-only consumers (a --metrics-out
+  // JSON dump) need no report plumbing.
   if (!report.epochs.empty() &&
       std::isfinite(report.epochs.back().test_rmse)) {
     obs::registry()

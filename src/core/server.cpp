@@ -1,6 +1,5 @@
 #include "core/server.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/span.hpp"
@@ -12,136 +11,43 @@ namespace {
 constexpr std::uint32_t kServerTrack = 0;
 }  // namespace
 
-Server::Server(mf::FactorModel global, const comm::CommConfig& config,
-               std::uint32_t stripes)
+Server::Server(mf::FactorModel global, const comm::CommConfig& config)
     : global_(std::move(global)), codec_(comm::make_codec(config, global_.k())) {
-  const std::uint32_t items = std::max(1u, global_.items());
-  n_stripes_ = std::clamp(stripes, 1u, items);
-  rows_per_stripe_ = (items + n_stripes_ - 1) / n_stripes_;
-  stripes_ = std::make_unique<Stripe[]>(n_stripes_);
-  if (n_stripes_ > 1) {
-    auto& reg = obs::registry();
-    contention_counter_ = &reg.counter("server.stripe_contention");
-    locks_counter_ = &reg.counter("server.stripe_locks");
-  }
   obs::trace().set_track_name(kServerTrack, "server (sync)");
 }
 
-std::pair<std::uint32_t, std::uint32_t> Server::stripe_rows(
-    std::uint32_t s) const {
-  const std::uint32_t items = global_.items();
-  const std::uint32_t lo = std::min(items, s * rows_per_stripe_);
-  const std::uint32_t hi = std::min(items, lo + rows_per_stripe_);
-  return {lo, hi};
-}
-
-std::unique_lock<std::mutex> Server::lock_stripe(std::uint32_t s) {
-  std::unique_lock<std::mutex> lock(stripes_[s].mutex, std::defer_lock);
-  if (n_stripes_ == 1) {
-    // Single-stripe (serial) path: still lock — the cluster layer merges
-    // node pushes concurrently even at 1 stripe — but skip the accounting.
-    lock.lock();
-    return lock;
-  }
-  if (!lock.try_lock()) {
-    stripe_contention_.fetch_add(1, std::memory_order_relaxed);
-    contention_counter_->add(1);
-    lock.lock();
-  }
-  stripe_locks_.fetch_add(1, std::memory_order_relaxed);
-  locks_counter_->add(1);
-  return lock;
-}
-
-bool Server::intersects(std::span<const std::uint32_t> touched,
-                        std::uint32_t lo, std::uint32_t hi) {
-  if (touched.empty()) return true;
-  const auto it = std::lower_bound(touched.begin(), touched.end(), lo);
-  return it != touched.end() && *it < hi;
-}
-
 void Server::sync_q(std::span<const float> pushed,
-                    std::span<const float> snapshot, float weight,
-                    std::span<const std::uint32_t> touched) {
+                    std::span<const float> snapshot, float weight) {
   obs::ScopedSpan span("sync", obs::kPhaseCategory, kServerTrack);
   std::span<float> q = global_.q_data();
   assert(pushed.size() == q.size() && snapshot.size() == q.size());
-  const std::size_t k = global_.k();
   // Eq. 3's three read/write memory operations and one multiply-add per
-  // feature parameter, stripe by stripe.
-  for (std::uint32_t s = 0; s < n_stripes_; ++s) {
-    const auto [item_lo, item_hi] = stripe_rows(s);
-    if (item_lo >= item_hi || !intersects(touched, item_lo, item_hi)) {
-      continue;
-    }
-    const auto guard = lock_stripe(s);
-    const std::size_t lo = item_lo * k;
-    const std::size_t hi = item_hi * k;
-    for (std::size_t j = lo; j < hi; ++j) {
-      q[j] += weight * (pushed[j] - snapshot[j]);
-    }
+  // feature parameter.
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    q[j] += weight * (pushed[j] - snapshot[j]);
   }
-  sync_count_.fetch_add(1, std::memory_order_relaxed);
-  measured_sync_s_.fetch_add(span.stop(), std::memory_order_relaxed);
+  ++sync_count_;
+  measured_sync_s_ += span.stop();
 }
 
 void Server::sync_q(std::span<const float> pushed,
                     std::span<const float> snapshot,
-                    std::span<const float> item_weights,
-                    std::span<const std::uint32_t> touched) {
+                    std::span<const float> item_weights) {
   obs::ScopedSpan span("sync", obs::kPhaseCategory, kServerTrack);
   std::span<float> q = global_.q_data();
   assert(pushed.size() == q.size() && snapshot.size() == q.size());
   const std::uint32_t k = global_.k();
   assert(item_weights.size() * k == q.size());
-  for (std::uint32_t s = 0; s < n_stripes_; ++s) {
-    const auto [item_lo, item_hi] = stripe_rows(s);
-    if (item_lo >= item_hi || !intersects(touched, item_lo, item_hi)) {
-      continue;
-    }
-    const auto guard = lock_stripe(s);
-    for (std::size_t item = item_lo; item < item_hi; ++item) {
-      const float w = item_weights[item];
-      if (w == 0.0f) continue;
-      const std::size_t base = item * k;
-      for (std::uint32_t f = 0; f < k; ++f) {
-        q[base + f] += w * (pushed[base + f] - snapshot[base + f]);
-      }
+  for (std::size_t item = 0; item < item_weights.size(); ++item) {
+    const float w = item_weights[item];
+    if (w == 0.0f) continue;
+    const std::size_t base = item * k;
+    for (std::uint32_t f = 0; f < k; ++f) {
+      q[base + f] += w * (pushed[base + f] - snapshot[base + f]);
     }
   }
-  sync_count_.fetch_add(1, std::memory_order_relaxed);
-  measured_sync_s_.fetch_add(span.stop(), std::memory_order_relaxed);
-}
-
-void Server::read_q(std::vector<float>& dst) {
-  const std::span<const float> q = global_.q_data();
-  dst.resize(q.size());
-  const std::size_t k = global_.k();
-  for (std::uint32_t s = 0; s < n_stripes_; ++s) {
-    const auto [item_lo, item_hi] = stripe_rows(s);
-    if (item_lo >= item_hi) continue;
-    const auto guard = lock_stripe(s);
-    std::copy(q.begin() + item_lo * k, q.begin() + item_hi * k,
-              dst.begin() + item_lo * k);
-  }
-}
-
-void Server::gather_q_rows(std::span<const std::uint32_t> rows,
-                           std::vector<float>& packed) {
-  const std::span<const float> q = global_.q_data();
-  const std::size_t k = global_.k();
-  packed.resize(rows.size() * k);
-  std::size_t t = 0;
-  for (std::uint32_t s = 0; s < n_stripes_ && t < rows.size(); ++s) {
-    const auto [item_lo, item_hi] = stripe_rows(s);
-    if (item_lo >= item_hi || rows[t] >= item_hi) continue;
-    const auto guard = lock_stripe(s);
-    for (; t < rows.size() && rows[t] < item_hi; ++t) {
-      assert(rows[t] >= item_lo);
-      const float* src = &q[std::size_t(rows[t]) * k];
-      std::copy(src, src + k, &packed[t * k]);
-    }
-  }
+  ++sync_count_;
+  measured_sync_s_ += span.stop();
 }
 
 void Server::roundtrip_p_through_codec() {
@@ -153,14 +59,11 @@ void Server::roundtrip_p_through_codec() {
 
 void Server::publish_snapshot(std::uint32_t epoch) {
   if (snapshots_ == nullptr) return;
-  // Q under the stripe locks (concurrent sync_q stays correct); P straight
-  // from the model — the caller guarantees its writers are parked.
-  read_q(publish_scratch_);
   auto snapshot = std::make_shared<serve::ModelSnapshot>();
   snapshot->epoch = epoch;
   snapshot->store =
       serve::FactorStore(snapshot_kind_, global_.users(), global_.items(),
-                         global_.k(), global_.p_data(), publish_scratch_);
+                         global_.k(), global_.p_data(), global_.q_data());
   snapshots_->publish(std::move(snapshot));
 }
 

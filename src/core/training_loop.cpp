@@ -111,10 +111,6 @@ std::vector<ConfigError> TrainingOptions::validate() const {
     reject(ConfigErrorCode::kBadTileKb,
            "schedule.tile_kb must be > 0 under the tiled schedule");
   }
-  if (exec.steal && exec.mode != ExecMode::kParallel) {
-    reject(ConfigErrorCode::kStealNeedsParallel,
-           "exec.steal requires exec.mode == parallel");
-  }
   // Transport settings: a zero heartbeat would spin the session pump, a
   // timeout at or under the heartbeat interval declares every silence a
   // dead link, and a zero reconnect budget can never re-establish one.
@@ -205,12 +201,7 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
   util::Rng rng(options_.sgd.seed);
   mf::FactorModel model(shape_.m, shape_.n, shape_.k);
   model.init_random(rng, static_cast<float>(mean));
-  // One stripe under kSerial (a single-lock merge in worker order); under
-  // kParallel the configured/auto count.
-  const std::uint32_t stripes =
-      resolve_stripes(options_.exec, static_cast<std::uint32_t>(shape_.n),
-                      slices.size());
-  server_ = std::make_unique<Server>(std::move(model), options_.comm, stripes);
+  server_ = std::make_unique<Server>(std::move(model), options_.comm);
   init_span.stop();
 
   build_workers(std::move(slices));
@@ -229,8 +220,6 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
   }
   reg.gauge("exec.mode").set(
       options_.exec.mode == ExecMode::kParallel ? 1.0 : 0.0);
-  reg.gauge("exec.stripes").set(static_cast<double>(stripes));
-  reg.gauge("exec.steal").set(options_.exec.steal ? 1.0 : 0.0);
   reg.gauge("sched.policy").set(
       static_cast<double>(static_cast<int>(options_.schedule.policy)));
   reg.gauge("sched.tile_kb").set(
@@ -250,7 +239,6 @@ void TrainingLoop::build_workers(std::vector<data::RatingMatrix> slices) {
         options_.comm, specs_[i].streams);
     w.set_passes(specs_[i].passes);
     w.set_fault_runtime(&fault_rt_);
-    w.set_exec(options_.exec.mode == ExecMode::kParallel);
     w.set_schedule(options_.schedule, options_.sgd.k);
     w.set_real_stalls(options_.fault.real_stalls);
   }
@@ -297,10 +285,7 @@ void TrainingLoop::roll_back() {
 }
 
 void TrainingLoop::drain_measurements() {
-  for (auto& w : workers_) {
-    (void)w.take_measured();
-    (void)w.take_computed();
-  }
+  for (auto& w : workers_) (void)w.take_measured();
 }
 
 void TrainingLoop::run(const Hooks& hooks) {
@@ -316,9 +301,9 @@ void TrainingLoop::run(const Hooks& hooks) {
           w.set_stall_factor(fault_rt_.injector().stall_factor(w.id(), epoch_));
         }
       }
-      // pull -> compute -> push per worker (Figure 6's pipelines).  Under
-      // kParallel a fault captured on a worker thread is rethrown here at
-      // the barrier, so both modes share the recovery paths below.
+      // pull -> compute -> push per worker (Figure 6's pipelines).  A fault
+      // in a phase is rethrown here, after the phase barrier, in either
+      // mode, so both share the recovery paths below.
       executor_->run_epoch(workers_, alive_, *server_, lr_, sgd.reg_p,
                            sgd.reg_q, pool_.get());
       if (p_roundtrip_each_epoch_) server_->roundtrip_p_through_codec();

@@ -54,7 +54,6 @@ enum class ConfigErrorCode {
   kBadBackoff,
   kZeroCheckpointCadence,
   kBadTileKb,
-  kStealNeedsParallel,
   kBadHeartbeat,
   kBadTransportTimeout,
   kZeroReconnectBudget,
@@ -62,7 +61,6 @@ enum class ConfigErrorCode {
   kPublishNeedsRegistry,
   kBadPipelineDepth,
   kZeroLocalEpochs,
-  kStealNeedsOneLocalEpoch,
 };
 
 struct ConfigError {
@@ -83,9 +81,8 @@ struct TrainingOptions {
   /// Host threads for each worker's ASGD (0 = single-threaded).
   std::uint32_t host_threads = 0;
   /// How an epoch executes across the workers (core/epoch_executor.hpp):
-  /// kSerial (default) is the deterministic single-thread order; kParallel
-  /// runs each worker's pipeline on its own thread against a striped
-  /// server.
+  /// kSerial (default) runs every phase on the caller's thread, kParallel
+  /// on one thread per worker; both merge in worker order.
   ExecOptions exec;
   /// Cache-aware visit order for each worker's slice (data/schedule.hpp);
   /// kAsIs (default) never touches the slice.
@@ -192,7 +189,7 @@ class TrainingLoop {
   /// weight 1 (the serial update, exactly); contested items combine
   /// proportionally.
   void refresh_item_weights();
-  /// Drops a failed epoch's phase times and rating counts.
+  /// Drops a failed epoch's phase times.
   void drain_measurements();
   /// Degraded mode: hands the dead worker's rows to the survivors and
   /// rolls back.  False when nothing is left to degrade to.

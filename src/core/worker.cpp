@@ -186,8 +186,6 @@ void TrainWorker::ensure_buffers(Server& server) {
       packed_send_.resize(packed);
       packed_recv_.resize(packed);
     }
-  } else if (parallel_ && pull_staging_.size() != q_size) {
-    pull_staging_.resize(q_size);
   }
 }
 
@@ -204,11 +202,7 @@ void TrainWorker::pull(Server& server) {
   const comm::StreamPipeline::RetryFn retry = retry_policy();
   if (sparse_) {
     // Strategy 4: only the touched Q rows cross the wire.
-    if (parallel_) {
-      server.gather_q_rows(touched_, packed_send_);
-    } else {
-      gather_touched(server.model().q_data(), packed_send_, k);
-    }
+    gather_touched(server.model().q_data(), packed_send_, k);
     pull_pipe_->transfer(*backend_, packed_send_, packed_recv_, retry);
     scatter_touched(packed_recv_, local_q_, k);
     // The snapshot is what this worker *received* (post-codec), so the
@@ -224,16 +218,8 @@ void TrainWorker::pull(Server& server) {
           std::copy(local_q_.begin() + lo, local_q_.begin() + hi,
                     snapshot_q_.begin() + lo);
         };
-    if (parallel_) {
-      // Concurrent execution: other workers may be merging right now, so
-      // the global read goes through the server's stripe locks.
-      server.read_q(pull_staging_);
-      pull_pipe_->transfer(*backend_, pull_staging_, local_q_, retry,
-                           snapshot_chunk);
-    } else {
-      pull_pipe_->transfer(*backend_, server.model().q_data(), local_q_,
-                           retry, snapshot_chunk);
-    }
+    pull_pipe_->transfer(*backend_, server.model().q_data(), local_q_, retry,
+                         snapshot_chunk);
   }
   record_phase(span.stop(), &obs::PhaseTimes::pull_s, hist_pull_);
 }
@@ -251,25 +237,6 @@ void TrainWorker::compute_chunk(Server& server, std::uint32_t chunk, float lr,
   const std::size_t per_chunk = (entries.size() + streams_ - 1) / streams_;
   const std::size_t lo = std::min(entries.size(), chunk * per_chunk);
   const std::size_t hi = std::min(entries.size(), lo + per_chunk);
-  for (std::uint32_t pass = 0; pass < passes_; ++pass) {
-    sgd_over_own(server, entries, lo, hi, lr, reg_p, reg_q, pool);
-  }
-  counter_updates_->add((hi - lo) * passes_);
-  computed_ += (hi - lo) * passes_;
-  last_chunk_ = chunk;
-  apply_real_stall(watch.seconds());
-  record_phase(span.stop(), &obs::PhaseTimes::compute_s, hist_compute_);
-
-  // Divergence guard: a runaway learning rate poisons whole Q rows within
-  // one chunk; catch it here, before push spreads it to the server.
-  guard_divergence();
-}
-
-void TrainWorker::sgd_over_own(Server& server,
-                               std::span<const data::Rating> entries,
-                               std::size_t lo, std::size_t hi, float lr,
-                               float reg_p, float reg_q,
-                               util::ThreadPool* pool) {
   mf::FactorModel& model = server.model();
   const std::uint32_t k = model.k();
   // Hint a few updates ahead: far enough that the lines arrive before the
@@ -289,14 +256,20 @@ void TrainWorker::sgd_over_own(Server& server,
                               k, e.r, lr, reg_p, reg_q);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(lo, hi, body);
-  } else {
-    body(lo, hi);
+  for (std::uint32_t pass = 0; pass < passes_; ++pass) {
+    if (pool != nullptr) {
+      pool->parallel_for(lo, hi, body);
+    } else {
+      body(lo, hi);
+    }
   }
-}
+  counter_updates_->add((hi - lo) * passes_);
+  last_chunk_ = chunk;
+  apply_real_stall(watch.seconds());
+  record_phase(span.stop(), &obs::PhaseTimes::compute_s, hist_compute_);
 
-void TrainWorker::guard_divergence() {
+  // Divergence guard: a runaway learning rate poisons whole Q rows within
+  // one chunk; catch it here, before push spreads it to the server.
   if (fault_ != nullptr && fault_->options().divergence_guard &&
       !mf::all_finite(local_q_)) {
     util::log_kv(util::LogLevel::kWarn, "fault.divergence",
@@ -304,96 +277,6 @@ void TrainWorker::guard_divergence() {
                   util::kv("epoch", fault_->injector().current_epoch())});
     throw fault::DivergenceError(id_, fault_->injector().current_epoch());
   }
-}
-
-std::vector<WorkChunk> TrainWorker::make_chunks(
-    std::size_t target_ratings) const {
-  // Tile-aligned under the tiled schedule (never split a tile's working
-  // set); user-row-aligned otherwise, which keeps the chunks' P-row claim
-  // intervals disjoint over the row-sorted default order.
-  std::span<const std::uint32_t> cuts;
-  if (scheduler_.options().policy == data::SchedulePolicy::kTiled) {
-    cuts = sched_stats_.tile_offsets;
-  }
-  return build_chunks(slice_.entries(), id_, target_ratings, cuts);
-}
-
-void TrainWorker::compute_own_range(Server& server, std::size_t lo,
-                                    std::size_t hi, float lr, float reg_p,
-                                    float reg_q, util::ThreadPool* pool) {
-  assert(!local_q_.empty() && "pull() must precede compute_own_range()");
-  if (fault_ != nullptr) fault_->injector().check_phase(id_);
-  obs::ScopedSpan span("compute", obs::kPhaseCategory, track_of(id_));
-  util::Stopwatch watch;
-  sgd_over_own(server, slice_.entries(), lo, hi, lr, reg_p, reg_q, pool);
-  counter_updates_->add(hi - lo);
-  computed_ += hi - lo;
-  // The divergence guard runs once before push (guard_divergence), not per
-  // chunk — an O(|Q|) scan per chunk would dwarf small chunks.
-  apply_real_stall(watch.seconds());
-  record_phase(span.stop(), &obs::PhaseTimes::compute_s, hist_compute_);
-}
-
-void TrainWorker::compute_stolen(Server& server, const TrainWorker& victim,
-                                 std::size_t lo, std::size_t hi, float lr,
-                                 float reg_p, float reg_q) {
-  if (fault_ != nullptr) fault_->injector().check_phase(id_);
-  obs::ScopedSpan span("steal", obs::kPhaseCategory, track_of(id_));
-  span.arg("victim", std::to_string(victim.id()));
-  util::Stopwatch watch;
-  mf::FactorModel& model = server.model();
-  const std::uint32_t k = model.k();
-  const auto entries = victim.slice().entries().subspan(lo, hi - lo);
-
-  // Private working set: the chunk's unique items, gathered fresh from the
-  // server (stripe-locked).  The scratch evolves within the chunk and is
-  // discarded at the end — see the header comment for the measurements
-  // behind the P-full / Q-forfeit write policy.
-  steal_items_.clear();
-  steal_items_.reserve(entries.size());
-  for (const auto& e : entries) steal_items_.push_back(e.i);
-  std::sort(steal_items_.begin(), steal_items_.end());
-  steal_items_.erase(std::unique(steal_items_.begin(), steal_items_.end()),
-                     steal_items_.end());
-  server.gather_q_rows(steal_items_, steal_q_);
-  if (steal_index_.size() < model.items()) steal_index_.resize(model.items());
-  for (std::size_t t = 0; t < steal_items_.size(); ++t) {
-    steal_index_[steal_items_[t]] = static_cast<std::uint32_t>(t);
-  }
-
-  // Same ASGD inner loop as the owned path, with Q indexed through the
-  // packed scratch.  P rows are the victim's exclusive rows; the stealing
-  // scheduler's row claim guarantees no other in-flight chunk overlaps
-  // them, so the in-place update stays race-free.
-  constexpr std::size_t kPrefetchAhead = 4;
-  for (std::size_t idx = 0; idx < entries.size(); ++idx) {
-    if (idx + kPrefetchAhead < entries.size()) {
-      const auto& f = entries[idx + kPrefetchAhead];
-      mf::sgd_prefetch_rows(model.p(f.u),
-                            &steal_q_[std::size_t(steal_index_[f.i]) * k], k);
-    }
-    const auto& e = entries[idx];
-    mf::sgd_update_dispatch(model.p(e.u),
-                            &steal_q_[std::size_t(steal_index_[e.i]) * k], k,
-                            e.r, lr, reg_p, reg_q);
-  }
-  counter_updates_->add(entries.size());
-  computed_ += entries.size();
-
-  // A non-finite scratch means the P rows just received garbage gradients
-  // too — surface it like the owned path would.
-  if (fault_ != nullptr && fault_->options().divergence_guard &&
-      !mf::all_finite(steal_q_)) {
-    util::log_kv(util::LogLevel::kWarn, "fault.divergence",
-                 {util::kv("worker", id_),
-                  util::kv("epoch", fault_->injector().current_epoch())});
-    throw fault::DivergenceError(id_, fault_->injector().current_epoch());
-  }
-  apply_real_stall(watch.seconds());
-  record_phase(span.stop(), &obs::PhaseTimes::compute_s, hist_compute_);
-  // The scratch Q is dropped here by design (see worker.hpp): the stolen
-  // entries' item-side movement is forfeited for this epoch, the user-side
-  // movement is already in the model.
 }
 
 void TrainWorker::push(Server& server) {
@@ -424,31 +307,14 @@ void TrainWorker::push(Server& server) {
 
   // The server-side merge is the paper's T_sync term — timed separately
   // and attributed to this worker (the server records its own span).
-  // Under concurrent execution a sparse worker hands the server its
-  // touched-row set so the merge locks (and walks) only those stripes.
-  const std::span<const std::uint32_t> touched =
-      (parallel_ && sparse_) ? std::span<const std::uint32_t>(touched_)
-                             : std::span<const std::uint32_t>();
   util::Stopwatch sync_watch;
   if (!item_weights_.empty()) {
     server.sync_q(push_staging_, snapshot_q_,
-                  std::span<const float>(item_weights_), touched);
+                  std::span<const float>(item_weights_));
   } else {
-    server.sync_q(push_staging_, snapshot_q_, sync_weight_, touched);
+    server.sync_q(push_staging_, snapshot_q_, sync_weight_);
   }
   record_phase(sync_watch.seconds(), &obs::PhaseTimes::sync_s, hist_sync_);
-}
-
-void TrainWorker::run_pipeline(Server& server, float lr, float reg_p,
-                               float reg_q, util::ThreadPool* pool) {
-  for (std::uint32_t chunk = 0; chunk < streams_; ++chunk) {
-    // A pull per chunk: the chunk computes on fresh Q and — critically —
-    // pushes against a fresh snapshot (a stale one would re-merge the
-    // previous chunk's delta).
-    pull(server);
-    compute_chunk(server, chunk, lr, reg_p, reg_q, pool);
-    push(server);
-  }
 }
 
 }  // namespace hcc::core

@@ -7,10 +7,10 @@
 // it updates the global P in place — exactly why "Transmitting Q only"
 // loses nothing (Section 3.4, Strategy 1).
 //
-// Under the concurrent epoch executor (core/epoch_executor.hpp) each
-// worker's whole chunked pipeline runs on a dedicated thread via
-// run_pipeline(); pulls then go through the server's stripe-locked readers
-// (safe against concurrent merges).
+// The epoch engine (core/epoch_executor.hpp) drives the phases: pull and
+// compute_chunk of one chunk run on the worker's own thread under
+// kParallel, while every push runs on the caller's thread after the phase
+// barrier, so a pull never races a merge.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include "comm/pipeline.hpp"
 #include "comm/strategy.hpp"
 #include "core/server.hpp"
-#include "core/steal_queue.hpp"
 #include "data/rating_matrix.hpp"
 #include "data/schedule.hpp"
 #include "fault/recovery.hpp"
@@ -55,12 +54,6 @@ class TrainWorker {
   /// comm::CommConfig::sparse) only these Q rows travel.
   std::size_t touched_items() const noexcept { return touched_.size(); }
 
-  /// Switches between the single-threaded phase methods and the
-  /// concurrent pipeline: under `parallel` pulls route through the
-  /// server's stripe-locked readers and pushes pass the touched-row set so
-  /// the merge skips untouched stripes.
-  void set_exec(bool parallel) noexcept { parallel_ = parallel; }
-
   /// SGD passes over each chunk per compute_chunk() (default 1).  A
   /// cluster node runs its `local_epochs` here: that many passes over its
   /// slice between one pull and one push.
@@ -75,14 +68,14 @@ class TrainWorker {
   void set_schedule(const data::ScheduleOptions& options, std::uint32_t k);
 
   /// Reorders this worker's slice for the upcoming epoch (internal epoch
-  /// counter).  Must run before the epoch's first compute: on the worker's
-  /// own pipeline thread under the concurrent executor (first-touch keeps
-  /// the reordered entries NUMA-local), or on the driver thread in serial
-  /// mode.  kAsIs leaves the slice bit-identical and records nothing.
+  /// counter).  Must run before the epoch's first pull: on the worker's
+  /// own thread under kParallel (first-touch keeps the reordered entries
+  /// NUMA-local), inline under kSerial.  kAsIs leaves the slice
+  /// bit-identical and records nothing.
   void prepare_epoch();
 
   /// What the last prepare_epoch() did (tiles, spans, reorder wall time).
-  /// Read it between epochs (from the harvest loop), never mid-pipeline.
+  /// Read it between epochs (from the harvest loop), never mid-phase.
   const data::ScheduleStats& schedule_stats() const noexcept {
     return sched_stats_;
   }
@@ -101,57 +94,6 @@ class TrainWorker {
   /// the delta against this worker's pull snapshot, weighted by this
   /// worker's data share (see Server::sync_q).
   void push(Server& server);
-
-  /// Cuts this worker's (schedule-prepared) slice into ~target_ratings
-  /// chunks for the work-stealing executor: tile-aligned cuts under the
-  /// tiled schedule (ScheduleStats::tile_offsets), user-row-aligned cuts
-  /// otherwise.  Call after prepare_epoch(), on the worker's own thread.
-  std::vector<WorkChunk> make_chunks(std::size_t target_ratings) const;
-
-  /// ASGD over entries [lo, hi) of this worker's own slice — the owned-
-  /// chunk unit of the stealing executor.  Same inner loop as
-  /// compute_chunk, but the range comes from the chunk queue and the
-  /// divergence guard is deferred to guard_divergence() before push (one
-  /// O(|Q|) scan per epoch instead of per chunk).
-  void compute_own_range(Server& server, std::size_t lo, std::size_t hi,
-                         float lr, float reg_p, float reg_q,
-                         util::ThreadPool* pool);
-
-  /// Runs a chunk stolen from `victim` (entries [lo, hi) of the *victim's*
-  /// slice): gathers the touched Q rows from the server into a private
-  /// scratch, then runs the SGD with an asymmetric write policy —
-  ///
-  ///  * P rows update in place at full strength.  They are the victim's
-  ///    exclusive rows (the scheduler's row claim keeps every other
-  ///    in-flight chunk off them), and advancing them is exactly the work
-  ///    the straggler sheds.
-  ///  * Q movement stays in the scratch and is *discarded* at chunk end.
-  ///    The shared items' per-epoch movement budget is already allocated
-  ///    to the replicas' weighted pushes; adding the stolen delta through
-  ///    any other path over-steps it.  Measured on the 4-worker netflix
-  ///    bench (~200 steals): a mid-epoch stripe-locked merge at the
-  ///    victim's weights degraded final RMSE 0.32 -> 0.45 (1.0 weight:
-  ///    1.7), folding the delta into the victim's replica for its own push
-  ///    diverged outright (parallel same-origin deltas sum instead of
-  ///    chaining), while discarding holds 0.324 parity even at 1000+
-  ///    steals and under 4x real stalls.
-  ///
-  /// The scratch still *evolves* within the chunk, so consecutive updates
-  /// of one item inside the chunk see each other, like a sequential pass.
-  void compute_stolen(Server& server, const TrainWorker& victim,
-                      std::size_t lo, std::size_t hi, float lr, float reg_p,
-                      float reg_q);
-
-  /// The compute_chunk divergence check, callable standalone: throws
-  /// fault::DivergenceError when the guard is armed and local Q has gone
-  /// non-finite.  The stealing executor runs it once, pre-push.
-  void guard_divergence();
-
-  /// One whole epoch of this worker — per chunk pull, compute, push.  This
-  /// is the unit the concurrent executor runs on the worker's dedicated
-  /// thread; faults thrown anywhere in the pipeline propagate out.
-  void run_pipeline(Server& server, float lr, float reg_p, float reg_q,
-                    util::ThreadPool* pool);
 
   /// Arms the fault-tolerance hooks: scheduled kill/corrupt injection,
   /// wire checksums, bounded retry on checksum failure, and the post-chunk
@@ -194,12 +136,6 @@ class TrainWorker {
     item_weights_ = std::move(weights);
   }
 
-  /// The per-item merge weights (empty = scalar sync_weight applies); a
-  /// thief merges a stolen chunk with the *victim's* weights through here.
-  std::span<const float> item_weights_span() const noexcept {
-    return item_weights_;
-  }
-
   /// Wire-transfer accounting for this worker's channel.
   const comm::TransferStats& comm_stats() const { return backend_->stats(); }
 
@@ -221,15 +157,6 @@ class TrainWorker {
   obs::PhaseTimes take_measured() noexcept {
     obs::PhaseTimes out = measured_;
     measured_ = {};
-    return out;
-  }
-
-  /// Ratings this worker actually computed since the last take (its own
-  /// chunks plus anything it stole) — the numerator of effective_gbps once
-  /// stealing decouples work done from work assigned.
-  std::size_t take_computed() noexcept {
-    const std::size_t out = computed_;
-    computed_ = 0;
     return out;
   }
 
@@ -255,13 +182,6 @@ class TrainWorker {
   /// re-sends byte-identical wire (per chunk, under a depth > 1 pipeline).
   comm::StreamPipeline::RetryFn retry_policy();
 
-  /// The shared ASGD inner loop over `entries[lo, hi)` against this
-  /// worker's local Q (global P in place) — the body of compute_chunk and
-  /// compute_own_range.
-  void sgd_over_own(Server& server, std::span<const data::Rating> entries,
-                    std::size_t lo, std::size_t hi, float lr, float reg_p,
-                    float reg_q, util::ThreadPool* pool);
-
   /// Records one phase's wall-clock seconds (stall-inflated, unless the
   /// stall was already real — see set_real_stalls).
   void record_phase(double seconds, double obs::PhaseTimes::*field,
@@ -286,14 +206,12 @@ class TrainWorker {
   std::uint32_t streams_;
   bool sparse_ = false;
   std::uint32_t passes_ = 1;
-  bool parallel_ = false;  ///< concurrent executor drives this worker
   std::vector<std::uint32_t> touched_;  ///< items this slice rates (sparse)
   float sync_weight_ = 1.0f;
   std::vector<float> item_weights_;
   fault::FaultRuntime* fault_ = nullptr;
   double stall_factor_ = 1.0;
   bool real_stalls_ = false;
-  std::size_t computed_ = 0;  ///< ratings computed since take_computed()
   data::RatingScheduler scheduler_;    ///< kAsIs by default (no-op)
   std::uint32_t sched_epoch_ = 0;      ///< epochs prepared so far
   data::ScheduleStats sched_stats_;    ///< last prepare_epoch() result
@@ -307,22 +225,15 @@ class TrainWorker {
   /// separate streams, and sharing the server's instance across workers
   /// would interleave them.  At depth 1 each pipeline is exactly the old
   /// single-codec transfer; at depth > 1 it streams row-aligned chunks.
-  /// The epoch pipeline orders every use, so no locking is needed.
+  /// The epoch engine orders every use, so no locking is needed.
   std::unique_ptr<comm::StreamPipeline> pull_pipe_;
   std::unique_ptr<comm::StreamPipeline> push_pipe_;
   /// 64-byte-aligned: the SGD inner loop streams over these Q rows.
   util::AlignedFloats local_q_;
   std::vector<float> snapshot_q_;
-  std::vector<float> pull_staging_;  ///< stripe-locked dense read landing
   std::vector<float> push_staging_;
   std::vector<float> packed_send_;
   std::vector<float> packed_recv_;
-  /// Thief-private scratch for stolen chunks: the unique touched items, a
-  /// packed Q working copy, and an item -> packed slot index.  Reused
-  /// across steals, so steady-state steals allocate nothing.
-  std::vector<std::uint32_t> steal_items_;
-  std::vector<float> steal_q_;
-  std::vector<std::uint32_t> steal_index_;
 };
 
 }  // namespace hcc::core

@@ -164,9 +164,6 @@ ScheduleStats RatingScheduler::prepare_tiled(RatingMatrix& slice,
   std::uint32_t offset = 0;
   std::uint32_t occupied = 0;
   for (const std::uint32_t t : tile_order) {
-    // Each occupied tile after the first starts a boundary the stealing
-    // executor may cut a chunk on (see ScheduleStats::tile_offsets).
-    if (counts[t] > 0 && offset > 0) stats.tile_offsets.push_back(offset);
     cursor[t] = offset;
     offset += counts[t];
     if (counts[t] > 0) ++occupied;

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "data/rating_matrix.hpp"
 
@@ -68,11 +67,6 @@ struct ScheduleStats {
   std::uint32_t row_span = 0;   ///< P rows per tile (kTiled)
   std::uint32_t col_span = 0;   ///< Q rows (items) per tile (kTiled)
   double reorder_ms = 0.0;      ///< wall time of the reorder pass
-  /// Entry offsets where one occupied tile ends and the next begins, in the
-  /// epoch's visit order (ascending, exclusive of 0 and nnz; empty for
-  /// kAsIs/kShuffled).  The work-stealing executor cuts chunks only on
-  /// these boundaries so a stolen chunk is a whole number of tiles.
-  std::vector<std::uint32_t> tile_offsets;
 };
 
 /// Reorders a rating slice into one epoch's visit order.  Stateless apart

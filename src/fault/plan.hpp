@@ -120,8 +120,8 @@ struct FaultOptions {
   /// sleeps (factor - 1) x its measured compute time per chunk, instead of
   /// only inflating the recorded phase seconds.  Off by default — virtual
   /// stalls keep the original injection semantics (identical results,
-  /// identical wall clock); the straggler-recovery benchmarks turn this on
-  /// so work stealing has an actual slowdown to recover from.
+  /// identical wall clock).  A real stall puts a measurable slowdown on
+  /// the wall clock, so deadline detection can be tested against it.
   bool real_stalls = false;
 
   /// NaN/Inf divergence guard on the ASGD inner loop: on detection the run

@@ -1,6 +1,6 @@
 // RCU-style model snapshots: training publishes, serving reads.
 //
-// The striped Server owns the live P/Q that workers mutate; queries must
+// The Server owns the live P/Q that workers mutate; queries must
 // never see a half-written epoch and must never make training wait.  So
 // training encodes an immutable FactorStore at each epoch boundary (workers
 // are parked at the barrier, rows are quiescent) and swaps it in here as a
@@ -14,8 +14,8 @@
 // and CI still builds on older toolchains: readers take the shared side
 // only long enough to copy one pointer (no allocation, no contention among
 // themselves), and the writer takes the exclusive side once per published
-// epoch for the same single pointer store.  Training never touches the
-// Server's stripe locks from here, and readers never touch them at all.
+// epoch for the same single pointer store.  Training reads P/Q at the
+// barrier, with no lock, and readers never touch the live model at all.
 #pragma once
 
 #include <atomic>

@@ -189,8 +189,8 @@ TEST(Hierarchical, LocalEpochsTradeQualityForComm) {
 
 // ---------------------------------------------------------------------------
 // The concurrent execution paths of the functional cluster: parallel node
-// pipelines, work stealing across nodes, repeated local passes in parallel,
-// and node-death recovery in both modes.
+// epochs, repeated local passes in parallel, and node-death recovery in
+// both modes.
 
 struct Problem {
   data::RatingMatrix train{0, 0};
@@ -238,21 +238,6 @@ TEST(Hierarchical, ParallelConvergesToSerialQuality) {
   ASSERT_EQ(parallel.test_rmse.size(), serial.test_rmse.size());
   EXPECT_NEAR(parallel.test_rmse.back(), serial.test_rmse.back(), 0.02);
   expect_finite_model(parallel);
-}
-
-TEST(Hierarchical, StealingConvergesToSerialQuality) {
-  const Problem pr = small_problem();
-  const ClusterReport serial =
-      HierarchicalHcc(functional_config(core::ExecMode::kSerial))
-          .train(pr.train, &pr.test);
-  HierarchicalConfig config = functional_config(core::ExecMode::kParallel);
-  config.exec.steal = true;
-  config.exec.chunk_ratings = 256;  // many chunks, so steals can happen
-  const ClusterReport stealing =
-      HierarchicalHcc(config).train(pr.train, &pr.test);
-  ASSERT_EQ(stealing.test_rmse.size(), serial.test_rmse.size());
-  EXPECT_NEAR(stealing.test_rmse.back(), serial.test_rmse.back(), 0.02);
-  expect_finite_model(stealing);
 }
 
 TEST(Hierarchical, ParallelLocalEpochsConvergeToSerialQuality) {
@@ -309,26 +294,6 @@ bool has_code(const std::vector<core::ConfigError>& errors,
               core::ConfigErrorCode code) {
   return std::any_of(errors.begin(), errors.end(),
                      [code](const auto& e) { return e.code == code; });
-}
-
-TEST(Hierarchical, RejectsStealUnderSerialExecution) {
-  HierarchicalConfig config = functional_config(core::ExecMode::kSerial);
-  config.exec.steal = true;
-  EXPECT_TRUE(has_code(config.validate(),
-                       core::ConfigErrorCode::kStealNeedsParallel));
-  const Problem pr = small_problem();
-  EXPECT_THROW((void)HierarchicalHcc(config).train(pr.train, &pr.test),
-               std::invalid_argument);
-}
-
-TEST(Hierarchical, RejectsStealWithSeveralLocalEpochs) {
-  HierarchicalConfig config = functional_config(core::ExecMode::kParallel);
-  config.exec.steal = true;
-  config.local_epochs = 2;
-  EXPECT_TRUE(has_code(config.validate(),
-                       core::ConfigErrorCode::kStealNeedsOneLocalEpoch));
-  config.local_epochs = 1;
-  EXPECT_TRUE(config.validate().empty());
 }
 
 TEST(Hierarchical, RejectsZeroLocalEpochsByName) {

@@ -1,18 +1,28 @@
-// Tests for the concurrent epoch executor: the barrier primitive itself
-// (suite Executor) and end-to-end parallel-vs-serial training equivalence
+// Tests for the epoch engine: the barrier primitive itself (suite
+// Executor), the engine's determinism contract on hand-built workers
+// (suite EpochEngine: every thread count computes kSerial's floats, and a
+// failed phase merges nothing), and end-to-end parallel-vs-serial training
 // including fault recovery under both modes (suite ParallelTrain).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/epoch_executor.hpp"
 #include "core/hccmf.hpp"
+#include "core/server.hpp"
+#include "core/worker.hpp"
 #include "data/datasets.hpp"
+#include "data/grid.hpp"
 #include "fault/errors.hpp"
+#include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "sim/platform.hpp"
 
 namespace hcc::core {
@@ -30,10 +40,10 @@ TEST(Executor, ModeNamesRoundTrip) {
   EXPECT_THROW(parse_exec_mode(""), std::invalid_argument);
 }
 
-TEST(Executor, DefaultsAreSerialWithAutoStripes) {
+TEST(Executor, DefaultsAreSerialAndUnpinned) {
   const ExecOptions opts;
   EXPECT_EQ(opts.mode, ExecMode::kSerial);
-  EXPECT_EQ(opts.stripes, 0u);
+  EXPECT_FALSE(opts.pin_threads);
   const EpochExecutor exec(opts, 4);
   EXPECT_EQ(exec.mode(), ExecMode::kSerial);
 }
@@ -135,6 +145,199 @@ TEST(Executor, StaysUsableAfterAnException) {
 }
 
 // ---------------------------------------------------------------------------
+// Suite EpochEngine: run_epoch on hand-built workers over a fixed grid, so
+// no host probe is involved and both modes see the very same slices.
+
+/// One engine configuration: per-worker chunk counts, sparse push, the
+/// wire codec and the SGD passes per chunk (a cluster node's local epochs).
+struct EngineCase {
+  std::vector<std::uint32_t> streams;
+  bool sparse = false;
+  comm::CodecKind codec = comm::CodecKind::kFp16;
+  std::uint32_t passes = 1;
+};
+
+std::string describe(const EngineCase& c) {
+  std::string out = "streams";
+  for (const std::uint32_t s : c.streams) out += ' ' + std::to_string(s);
+  out += c.sparse ? ", sparse" : ", dense";
+  out += std::string(", ") + comm::codec_kind_name(c.codec);
+  out += ", passes " + std::to_string(c.passes);
+  return out;
+}
+
+/// Four even row slices of a small planted-rank problem, built once.
+const std::vector<data::RatingMatrix>& engine_slices() {
+  static const std::vector<data::RatingMatrix> slices = [] {
+    const data::DatasetSpec spec = data::netflix_spec().scaled(0.002);
+    data::GeneratorConfig gen;
+    gen.seed = 21;
+    gen.planted_rank = 4;
+    const data::RatingMatrix full = data::generate(spec, gen);
+    const std::vector<double> shares(4, 0.25);
+    return data::assign_slices(
+        full, data::GridKind::kRow,
+        data::make_grid(full, data::GridKind::kRow, shares));
+  }();
+  return slices;
+}
+
+/// A server and one TrainWorker per slice, merged with per-item weights
+/// (each worker's fraction of each item's ratings), as TrainingLoop does.
+struct Engine {
+  std::unique_ptr<Server> server;
+  std::vector<TrainWorker> workers;
+  std::vector<bool> alive;
+};
+
+Engine build_engine(const EngineCase& c) {
+  const auto& slices = engine_slices();
+  comm::CommConfig comm;
+  comm.codec = c.codec;
+  comm.sparse = c.sparse;
+  Engine e;
+  mf::FactorModel model(slices[0].rows(), slices[0].cols(), 16);
+  util::Rng rng(7);
+  model.init_random(rng, 3.0f);
+  e.server = std::make_unique<Server>(std::move(model), comm);
+  const std::size_t items = slices[0].cols();
+  std::vector<std::size_t> totals(items, 0);
+  for (const auto& s : slices) {
+    const auto counts = s.col_counts();
+    for (std::size_t i = 0; i < items; ++i) totals[i] += counts[i];
+  }
+  for (std::size_t w = 0; w < slices.size(); ++w) {
+    TrainWorker& worker = e.workers.emplace_back(
+        static_cast<std::uint32_t>(w), "cpu" + std::to_string(w), slices[w],
+        comm, c.streams[w]);
+    worker.set_passes(c.passes);
+    const auto counts = slices[w].col_counts();
+    std::vector<float> weights(items, 0.0f);
+    for (std::size_t i = 0; i < items; ++i) {
+      if (totals[i] > 0) {
+        weights[i] = static_cast<float>(counts[i]) /
+                     static_cast<float>(totals[i]);
+      }
+    }
+    worker.set_item_weights(std::move(weights));
+  }
+  e.alive.assign(slices.size(), true);
+  return e;
+}
+
+void run_epochs(Engine& e, ExecMode mode, std::uint32_t epochs) {
+  ExecOptions opts;
+  opts.mode = mode;
+  EpochExecutor exec(opts, e.workers.size());
+  for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
+    exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f,
+                   nullptr);
+  }
+}
+
+std::vector<float> copy_of(std::span<const float> values) {
+  return {values.begin(), values.end()};
+}
+
+void expect_bitwise(const std::vector<float>& serial,
+                    const std::vector<float>& parallel, const char* what) {
+  ASSERT_EQ(serial.size(), parallel.size()) << what;
+  for (std::size_t j = 0; j < serial.size(); ++j) {
+    ASSERT_EQ(serial[j], parallel[j]) << what << " index " << j;
+  }
+}
+
+TEST(EpochEngine, ParallelComputesSerialsFloats) {
+  std::vector<EngineCase> cases;
+  for (const auto& streams : {std::vector<std::uint32_t>{1, 1, 1, 1},
+                              std::vector<std::uint32_t>{1, 3, 1, 2}}) {
+    for (const bool sparse : {false, true}) {
+      for (const auto codec : {comm::CodecKind::kFp16, comm::CodecKind::kInt8}) {
+        for (const std::uint32_t passes : {1u, 2u}) {
+          cases.push_back({streams, sparse, codec, passes});
+        }
+      }
+    }
+  }
+  for (const EngineCase& c : cases) {
+    SCOPED_TRACE(describe(c));
+    Engine serial = build_engine(c);
+    run_epochs(serial, ExecMode::kSerial, 3);
+    Engine parallel = build_engine(c);
+    run_epochs(parallel, ExecMode::kParallel, 3);
+    expect_bitwise(copy_of(serial.server->model().p_data()),
+                   copy_of(parallel.server->model().p_data()), "P");
+    expect_bitwise(copy_of(serial.server->model().q_data()),
+                   copy_of(parallel.server->model().q_data()), "Q");
+    EXPECT_EQ(parallel.server->sync_count(), serial.server->sync_count());
+  }
+}
+
+TEST(EpochEngine, FailedPhaseMergesNothing) {
+  for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    fault::FaultOptions options;
+    options.plan = fault::FaultPlan::parse("kill:w1@e1");
+    fault::FaultRuntime runtime(options);
+    Engine e = build_engine({{1, 1, 1, 1}});
+    for (auto& w : e.workers) w.set_fault_runtime(&runtime);
+    ExecOptions opts;
+    opts.mode = mode;
+    EpochExecutor exec(opts, e.workers.size());
+
+    runtime.injector().begin_epoch(0);
+    exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f,
+                   nullptr);
+    const std::vector<float> before = copy_of(e.server->model().q_data());
+    const std::uint64_t merges = e.server->sync_count();
+
+    // The kill fires at w1's first phase check in epoch 1, its pull; the
+    // other workers still pull and compute, but nobody merges.
+    runtime.injector().begin_epoch(1);
+    try {
+      exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f,
+                     nullptr);
+      FAIL() << "expected the kill to surface";
+    } catch (const fault::WorkerFault& dead) {
+      EXPECT_EQ(dead.worker(), 1u);
+    }
+    expect_bitwise(before, copy_of(e.server->model().q_data()), "Q");
+    EXPECT_EQ(e.server->sync_count(), merges);
+  }
+}
+
+TEST(EpochEngine, InlinePhaseRanksFaultsLikeTheThreads) {
+  // kSerial runs a phase inline, yet every alive worker still runs after a
+  // peer threw, and the same ranked exception wins as under kParallel.
+  for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    ExecOptions opts;
+    opts.mode = mode;
+    EpochExecutor exec(opts, 5);
+    const std::vector<bool> alive = {true, true, false, true, true};
+    std::vector<std::atomic<int>> ran(5);
+    try {
+      exec.run_phase(alive, [&](std::size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 0) throw std::runtime_error("generic");
+        if (i == 1) throw fault::DivergenceError(1, 0);
+        if (i >= 3) {
+          throw fault::WorkerKilledError(static_cast<std::uint32_t>(i), 0);
+        }
+      });
+      FAIL() << "expected a WorkerFault";
+    } catch (const fault::WorkerFault& e) {
+      EXPECT_EQ(e.worker(), 3u);
+    }
+    EXPECT_EQ(ran[0].load(), 1);
+    EXPECT_EQ(ran[1].load(), 1);
+    EXPECT_EQ(ran[2].load(), 0);
+    EXPECT_EQ(ran[3].load(), 1);
+    EXPECT_EQ(ran[4].load(), 1);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Suite ParallelTrain: end-to-end serial/parallel equivalence on HccMf.
 
 struct SmallProblem {
@@ -202,9 +405,10 @@ TEST(ParallelTrain, ParallelConvergesToSerialQuality) {
   par.exec.mode = ExecMode::kParallel;
   const TrainReport parallel = run(std::move(par), pr);
 
-  // The interleaving differs (stale-by-chunk reads, concurrent merges), so
-  // the trajectories are not bit-identical — but SGD is robust to exactly
-  // this kind of asynchrony and final quality must match within tolerance.
+  // kParallel grids by the probed host rates, kSerial by the plan shares,
+  // so the slices (and with them the trajectories) differ; on one grid the
+  // two modes compute the same floats (suite EpochEngine).  Final quality
+  // must match within tolerance.
   ASSERT_EQ(parallel.epochs.size(), serial.epochs.size());
   EXPECT_NEAR(parallel.epochs.back().test_rmse,
               serial.epochs.back().test_rmse, 0.05);
@@ -224,7 +428,6 @@ TEST(ParallelTrain, SparseCommMatchesSerialQualityToo) {
   HccMfConfig par = quad_cpu_config(pr.spec);
   par.comm.sparse = true;
   par.exec.mode = ExecMode::kParallel;
-  par.exec.stripes = 16;  // force plenty of stripes over the touched sets
   const TrainReport parallel = run(std::move(par), pr);
 
   EXPECT_NEAR(parallel.epochs.back().test_rmse,

@@ -127,8 +127,8 @@ TEST(ScheduleTrain, RmseParityAcrossPolicies) {
 }
 
 TEST(ScheduleTrain, ParallelPinnedTiledConverges) {
-  // The TSan CI target: tiled reordering on the workers' own pipeline
-  // threads, round-robin pinned, against the striped server.
+  // The TSan CI target: tiled reordering on the workers' own threads,
+  // round-robin pinned, inside the parallel chunk phases.
   const Problem pr = small_problem();
   HccMfConfig config = base_config(pr.spec);
   config.exec.mode = ExecMode::kParallel;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/server.hpp"
@@ -54,6 +55,34 @@ TEST(Server, TwoWorkerDeltasAccumulate) {
   // WAW race resolved: both updates land, none is lost.
   EXPECT_FLOAT_EQ(server.model().q_data()[3], snapshot[3] + 3.0f);
   EXPECT_EQ(server.sync_count(), 2u);
+}
+
+TEST(Server, ItemWeightsScaleEachRowsDelta) {
+  // The per-item merge: each Q row moves by its own weight times its
+  // delta, and a zero-weight row is left exactly as it was.
+  Server server(small_model(), fp32_comm());
+  const std::vector<float> snapshot(server.model().q_data().begin(),
+                                    server.model().q_data().end());
+  std::vector<float> pushed = snapshot;
+  for (std::size_t j = 0; j < pushed.size(); ++j) {
+    pushed[j] += 0.01f * static_cast<float>(j % 7) - 0.02f;
+  }
+  const std::uint32_t k = server.model().k();
+  std::vector<float> weights(server.model().items(), 0.5f);
+  weights[1] = 0.0f;
+  weights[3] = 0.37f;
+  server.sync_q(pushed, snapshot, std::span<const float>(weights));
+  const auto q = server.model().q_data();
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    const float w = weights[j / k];
+    if (w == 0.0f) {
+      EXPECT_EQ(q[j], snapshot[j]) << "index " << j;
+    } else {
+      EXPECT_FLOAT_EQ(q[j], snapshot[j] + w * (pushed[j] - snapshot[j]))
+          << "index " << j;
+    }
+  }
+  EXPECT_EQ(server.sync_count(), 1u);
 }
 
 TEST(Server, RoundtripPQuantizesUnderFp16) {

@@ -144,9 +144,8 @@ TEST(ServeSnapshot, ValidateRejectsPublishWithoutRegistry) {
 
 TEST(ServeTrainWhileServe, ParallelTrainingPublishesWhileReadersQuery) {
   // The acceptance scenario: parallel training with per-epoch publishes
-  // and concurrent query threads.  Readers must always get answers, the
-  // read path must add no stripe-lock traffic, and the final snapshot must
-  // equal the delivered model exactly.
+  // and concurrent query threads.  Readers must always get answers, and
+  // the final snapshot must equal the delivered model exactly.
   const SmallProblem pr = netflix_small();
   core::HccMfConfig config = serving_config(pr.spec);
   config.exec.mode = core::ExecMode::kParallel;
