@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the library:
-// the SGD update kernel, the FP16 codec, the COMM backends and the grid
-// partitioner.  These quantify the host-side costs that the paper's design
+// the SGD update kernel, the FP16 codec, the in-process COMM link and the
+// grid partitioner.  These quantify the host-side costs that the paper's design
 // assumes are cheap (e.g. FP16 conversion "using AVX instructions and
 // multi-threaded parallel acceleration").
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 
 #include "comm/backend.hpp"
 #include "comm/codec.hpp"
+#include "comm/pipeline.hpp"
 #include "data/datasets.hpp"
 #include "data/grid.hpp"
 #include "legacy_kernels.hpp"
@@ -83,23 +84,26 @@ void BM_Fp16Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp16Decode)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-template <typename Backend>
 void BM_CommTransfer(benchmark::State& state) {
+  // One depth-1 fp32 transfer over the in-process COMM link: encode into
+  // the ring slot, one wire copy, decode.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Backend backend;
-  comm::Fp32Codec codec;
+  comm::ShmComm backend;
+  comm::CommConfig config;
+  config.codec = comm::CodecKind::kFp32;
+  comm::StreamPipeline pipe(config, /*row_elems=*/1,
+                            comm::StreamPipeline::Direction::kPush);
   util::Rng rng(4);
   std::vector<float> src(n);
   for (auto& v : src) v = static_cast<float>(rng.uniform());
   std::vector<float> dst(n);
   for (auto _ : state) {
-    backend.transfer(src, dst, codec);
+    pipe.transfer(backend, src, dst);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n * 4);
 }
-BENCHMARK(BM_CommTransfer<comm::ShmComm>)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_CommTransfer<comm::BrokerComm>)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_CommTransfer)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_GridPartition(benchmark::State& state) {
   const data::DatasetSpec spec = data::netflix_spec().scaled(0.01);

@@ -18,6 +18,7 @@
 #include "comm/session.hpp"
 #include "core/hccmf.hpp"
 #include "obs/metrics.hpp"
+#include "simd/dispatch.hpp"
 #include "util/clock.hpp"
 #include "util/table.hpp"
 
@@ -41,6 +42,9 @@ double comm_time(const std::string& dataset, const sim::DatasetShape& shape,
 
 int main(int argc, char** argv) {
   bench::JsonReport json_out(argc, argv, "table5_comm");
+  json_out.meta("host_cpus",
+                static_cast<double>(std::thread::hardware_concurrency()));
+  json_out.meta("isa", simd::kernels().name);
   bench::banner("Table 5: communication time of 20 epochs",
                 "paper Table 5; COMM vs COMM-P x {P&Q, Q, half-Q}");
 
@@ -84,7 +88,8 @@ int main(int argc, char** argv) {
   util::Table rtt_table(
       {"link", "model RTT (ms)", "session RTT (ms)", "drift"});
   const std::size_t q_elems = 256 * 1024;  // 1 MiB of fp32 factors
-  comm::Fp32Codec codec;
+  comm::CommConfig rtt_cfg;
+  rtt_cfg.codec = comm::CodecKind::kFp32;
   obs::Histogram& rtt_hist = obs::registry().histogram("transport.rtt_ms");
   for (const char* link : {"local", "IB-HDR", "100GbE", "10GbE"}) {
     comm::TransportConfig tconfig;
@@ -92,16 +97,18 @@ int main(int argc, char** argv) {
     tconfig.link = link;
     comm::SessionComm session(comm::make_transport(tconfig, /*worker=*/0),
                               tconfig, /*worker=*/0);
+    comm::StreamPipeline pipe(rtt_cfg, /*row_elems=*/1,
+                              comm::StreamPipeline::Direction::kPush);
     const std::vector<float> src(q_elems, 0.5f);
     std::vector<float> dst(q_elems, 0.0f);
     const std::uint64_t count0 = rtt_hist.count();
     const double sum0 = rtt_hist.sum();
-    for (int i = 0; i < 4; ++i) session.transfer(src, dst, codec);
+    for (int i = 0; i < 4; ++i) pipe.transfer(session, src, dst);
     const std::uint64_t samples = rtt_hist.count() - count0;
     const double observed_ms =
         samples ? (rtt_hist.sum() - sum0) / static_cast<double>(samples) : 0.0;
     const double model_ms =
-        1e3 * sim::link_by_name(link).rtt_s(codec.encoded_bytes(q_elems) +
+        1e3 * sim::link_by_name(link).rtt_s(q_elems * sizeof(float) +
                                             comm::FrameHeader::kBytes);
     rtt_table.add_row({link, util::Table::num(model_ms, 4),
                        util::Table::num(observed_ms, 4),
@@ -320,12 +327,12 @@ int main(int argc, char** argv) {
     const double n_chunks = static_cast<double>(piped_chunks);
 
     // Chunk-framed serial baseline: the same frames, codecs and memory
-    // walk as the depth-4 run (per-chunk codecs over the full array),
-    // strictly one chunk at a time.  Its wall residual over the standalone
-    // codec stages is the session's per-frame protocol CPU — framing
-    // copies, FNV checksums, pump and ack handling — which stays on the
-    // delivering thread at any depth and therefore belongs to the commit
-    // leg of the overlap model, not to the hideable encode leg.
+    // walk as the depth-4 run (one depth-1 pipeline per chunk over the
+    // full array), strictly one chunk at a time.  Its wall residual over
+    // the standalone codec stages is the session's per-frame protocol
+    // CPU — framing copies, FNV checksums, pump and ack handling — which
+    // stays on the delivering thread at any depth and therefore belongs to
+    // the commit leg of the overlap model, not to the hideable encode leg.
     const std::size_t chunk_elems = pipe_elems / piped_chunks;
     double framed_wall = 0.0;
     double framed_wire = 0.0;
@@ -337,17 +344,18 @@ int main(int argc, char** argv) {
                                 tconfig, /*worker=*/0);
       comm::CommConfig chunk_cfg = pipe_cfg;
       chunk_cfg.codec_threads = 0;
-      std::vector<std::unique_ptr<comm::Codec>> chunk_codecs;
+      std::vector<comm::StreamPipeline> chunk_pipes;
       for (std::size_t c = 0; c < piped_chunks; ++c) {
-        chunk_codecs.push_back(comm::make_codec(chunk_cfg, netflix.k));
+        chunk_pipes.emplace_back(chunk_cfg, netflix.k,
+                                 comm::StreamPipeline::Direction::kPush);
       }
       auto framed_round = [&] {
         for (std::size_t c = 0; c < piped_chunks; ++c) {
-          session.transfer(
+          chunk_pipes[c].transfer(
+              session,
               std::span<const float>(pipe_src)
                   .subspan(c * chunk_elems, chunk_elems),
-              std::span<float>(pipe_dst).subspan(c * chunk_elems, chunk_elems),
-              *chunk_codecs[c]);
+              std::span<float>(pipe_dst).subspan(c * chunk_elems, chunk_elems));
         }
       };
       framed_round();  // keyframe round
@@ -386,7 +394,7 @@ int main(int argc, char** argv) {
     pipe_table.add_row({"1", std::to_string(serial_chunks),
                         util::Table::num(serial_round_s * 1e3, 4),
                         util::Table::num(serial_round_s * 1e6, 1),
-                        "one monolithic frame (legacy)"});
+                        "one monolithic frame"});
     pipe_table.add_row({"1", std::to_string(piped_chunks),
                         util::Table::num(framed_round_s * 1e3, 4),
                         util::Table::num(framed_round_s / n_chunks * 1e6, 1),

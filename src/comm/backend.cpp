@@ -1,11 +1,6 @@
 #include "comm/backend.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cstring>
-
-#include "obs/span.hpp"
-#include "util/clock.hpp"
+#include <utility>
 
 namespace hcc::comm {
 
@@ -18,147 +13,67 @@ std::uint64_t wire_checksum(std::span<const std::byte> bytes) noexcept {
   return h;
 }
 
-void CommBackend::ensure_metrics() {
-  if (wire_bytes_counter_ != nullptr) return;
-  auto& reg = obs::registry();
-  const std::string base = "comm." + name() + ".";
-  wire_bytes_counter_ = &reg.counter(base + "wire_bytes");
-  transfers_counter_ = &reg.counter(base + "transfers");
-  messages_counter_ = &reg.counter(base + "messages");
-  codec_hist_ = &reg.histogram(base + "codec_s");
-}
-
-void CommBackend::cross_wire(std::span<std::byte> wire) {
-  // Sender-side checksum travels out-of-band (8 wire bytes, accounted by
-  // the caller); the tap models in-flight corruption; the receiver
-  // verifies before decoding so a damaged payload never reaches Q.
-  const std::uint64_t sent = checksum_ ? wire_checksum(wire) : 0;
-  if (tap_) tap_(wire);
-  if (checksum_ && wire_checksum(wire) != sent) {
-    throw ChecksumError(name());
+void CommBackend::account(std::size_t billed_bytes, std::uint64_t copies,
+                          std::uint64_t messages) {
+  if (wire_bytes_counter_ == nullptr) {
+    auto& reg = obs::registry();
+    const std::string base = "comm." + name() + ".";
+    wire_bytes_counter_ = &reg.counter(base + "wire_bytes");
+    transfers_counter_ = &reg.counter(base + "transfers");
+    messages_counter_ = &reg.counter(base + "messages");
   }
+  stats_.wire_bytes += billed_bytes;
+  stats_.copies += copies;
+  stats_.messages += messages;
+  wire_bytes_counter_->add(billed_bytes);
+  transfers_counter_->add(1);
+  messages_counter_->add(messages);
 }
 
-void CommBackend::submit_chunk(std::span<const std::byte> wire) {
-  // In-process "wire": the chunk lands in the receiver's queue immediately;
-  // corruption (tap) and verification happen on delivery, so the sender's
-  // bytes stay pristine for a byte-identical re-submit after a failure.
+void ShmComm::recycle_delivered() {
+  if (delivered_.capacity() > 0) spare_.push_back(std::move(delivered_));
+}
+
+void ShmComm::submit_chunk(std::span<const std::byte> wire) {
+  // await_chunk()'s view ends here, so a depth-1 stream reuses one buffer.
+  recycle_delivered();
+  // The one wire copy: into a recycled buffer, so steady-state transfers
+  // reuse capacity instead of allocating.
+  std::vector<std::byte> buffer;
+  if (!spare_.empty()) {
+    buffer = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  buffer.assign(wire.begin(), wire.end());
   if (resubmit_front_) {
     // Pristine re-send after a ChecksumError: it replaces the discarded
     // oldest chunk, ahead of any younger chunks still queued.
-    pending_chunks_.emplace_front(wire.begin(), wire.end());
+    pending_.push_front(std::move(buffer));
     resubmit_front_ = false;
   } else {
-    pending_chunks_.emplace_back(wire.begin(), wire.end());
+    pending_.push_back(std::move(buffer));
   }
 }
 
-std::span<const std::byte> CommBackend::await_chunk() {
-  if (pending_chunks_.empty()) {
+std::span<const std::byte> ShmComm::await_chunk() {
+  if (pending_.empty()) {
     throw std::runtime_error(name() + ": await_chunk with nothing in flight");
   }
-  ensure_metrics();
-  awaited_chunk_ = std::move(pending_chunks_.front());
-  pending_chunks_.pop_front();
-  // Per-chunk wire handling mirrors transfer(): tap, then the out-of-band
-  // checksum (8 extra billed bytes per chunk when enabled).
-  try {
-    cross_wire(awaited_chunk_);
-  } catch (...) {
+  recycle_delivered();
+  delivered_ = std::move(pending_.front());
+  pending_.pop_front();
+  // The checksum travels out-of-band (8 billed bytes); the tap models
+  // in-flight corruption; verification precedes decode, so a damaged
+  // payload never reaches Q.
+  const std::uint64_t sent = checksum_ ? wire_checksum(delivered_) : 0;
+  if (tap_) tap_(delivered_);
+  if (checksum_ && wire_checksum(delivered_) != sent) {
     resubmit_front_ = true;  // the corrupt chunk is gone; re-send goes first
-    throw;
-  }
-  const std::size_t billed =
-      awaited_chunk_.size() + (checksum_enabled() ? 8 : 0);
-  stats_.wire_bytes += billed;
-  stats_.copies += 1;
-  wire_bytes_counter_->add(billed);
-  transfers_counter_->add(1);
-  return awaited_chunk_;
-}
-
-void ShmComm::transfer(std::span<const float> src, std::span<float> dst,
-                       Codec& codec) {
-  assert(src.size() == dst.size());
-  ensure_metrics();
-  obs::ScopedSpan span("transfer", obs::kCommCategory);
-  const std::size_t wire = codec.encoded_bytes(src.size());
-  if (shared_buffer_.size() < wire) shared_buffer_.resize(wire);
-  // Sender encodes straight into the shared mapping; receiver decodes
-  // straight out of it.  One copy across the bus (Section 3.5: "the data
-  // copy usually happens only once in one epoch").
-  util::Stopwatch codec_watch;
-  codec.encode(src, shared_buffer_);
-  cross_wire(std::span<std::byte>(shared_buffer_.data(), wire));
-  codec.decode(std::span<const std::byte>(shared_buffer_.data(), wire), dst);
-  codec_hist_->observe(codec_watch.seconds());
-  const std::size_t billed = wire + (checksum_enabled() ? 8 : 0);
-  stats_.wire_bytes += billed;
-  stats_.copies += 1;
-  wire_bytes_counter_->add(billed);
-  transfers_counter_->add(1);
-  span.arg("bytes", std::to_string(billed));
-}
-
-void BrokerComm::transfer(std::span<const float> src, std::span<float> dst,
-                          Codec& codec) {
-  assert(src.size() == dst.size());
-  ensure_metrics();
-  obs::ScopedSpan span("transfer", obs::kCommCategory);
-  const std::size_t wire = codec.encoded_bytes(src.size());
-
-  // Copy 1: serialize into the sender's staging area.
-  if (send_staging_.size() < wire) send_staging_.resize(wire);
-  util::Stopwatch codec_watch;
-  codec.encode(src, send_staging_);
-  double codec_s = codec_watch.seconds();
-  const std::uint64_t sent_checksum =
-      checksum_enabled()
-          ? wire_checksum(std::span<const std::byte>(send_staging_.data(),
-                                                     wire))
-          : 0;
-
-  // Copy 2: chunk the staging area into broker messages.
-  std::size_t offset = 0;
-  while (offset < wire) {
-    const std::size_t len = std::min(message_bytes_, wire - offset);
-    broker_queue_.emplace_back(send_staging_.begin() + offset,
-                               send_staging_.begin() + offset + len);
-    offset += len;
-    stats_.messages += 1;
-    messages_counter_->add(1);
-  }
-
-  // Copy 3: the broker delivers messages into the receiver's buffer.
-  if (recv_buffer_.size() < wire) recv_buffer_.resize(wire);
-  offset = 0;
-  while (!broker_queue_.empty()) {
-    auto& msg = broker_queue_.front();
-    std::memcpy(recv_buffer_.data() + offset, msg.data(), msg.size());
-    offset += msg.size();
-    broker_queue_.pop_front();
-  }
-
-  // The tap corrupts the delivered bytes; the receiver verifies the
-  // sender's out-of-band checksum before deserializing.
-  if (tap_) tap_(std::span<std::byte>(recv_buffer_.data(), wire));
-  if (checksum_enabled() &&
-      wire_checksum(std::span<const std::byte>(recv_buffer_.data(), wire)) !=
-          sent_checksum) {
     throw ChecksumError(name());
   }
-
-  // Deserialize out of the receive buffer.
-  codec_watch.reset();
-  codec.decode(std::span<const std::byte>(recv_buffer_.data(), wire), dst);
-  codec_s += codec_watch.seconds();
-  codec_hist_->observe(codec_s);
-  const std::size_t billed = wire + (checksum_enabled() ? 8 : 0);
-  stats_.wire_bytes += billed;
-  stats_.copies += 3;
-  wire_bytes_counter_->add(billed);
-  transfers_counter_->add(1);
-  span.arg("bytes", std::to_string(billed));
+  account(delivered_.size() + (checksum_ ? 8 : 0), /*copies=*/1,
+          /*messages=*/0);
+  return delivered_;
 }
 
 }  // namespace hcc::comm

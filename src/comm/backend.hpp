@@ -4,29 +4,30 @@
 // in one process here; the paper uses OS processes + shared pinned memory,
 // an isomorphic structure — see DESIGN.md's substitution table).
 //
-// - ShmComm reproduces "COMM": a shared pull buffer (server -> all workers)
-//   and per-worker push buffers, with exactly one wire copy per direction.
-// - BrokerComm reproduces "COMM-P", the ps-lite-style baseline: payloads are
-//   serialized into bounded messages, enqueued with a broker, delivered into
-//   a receive buffer and deserialized — three extra copies and per-message
-//   overhead, which is why Table 5 shows it ~7x slower at equal function.
+// A backend is a split-phase chunk link: comm::StreamPipeline encodes each
+// P/Q transfer into one or more chunks and streams them through
+// submit_chunk / await_chunk / settle_chunks.  Two links implement it:
 //
-// Both backends count bytes, copies and messages so tests can assert the
-// structural difference and the simulator's efficiency constants stay
-// justified by the functional layer.
+// - ShmComm reproduces "COMM", the in-process link: each chunk lands in a
+//   reused shared buffer with exactly one wire copy.
+// - SessionComm (comm/session.hpp) frames chunks over a simulated-latency
+//   or chaos Transport.
+//
+// The paper's ps-lite-style "COMM-P" baseline is a timing-model setting
+// (BackendKind::kBroker -> CommConfig::broker_penalty in make_comm_plan),
+// not a functional link.  Backends count bytes, copies and messages so
+// tests can assert the structural cost of each link.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "comm/codec.hpp"
 #include "obs/metrics.hpp"
 
 namespace hcc::comm {
@@ -52,7 +53,7 @@ using WireTap = std::function<void(std::span<std::byte>)>;
 struct TransferStats {
   std::uint64_t wire_bytes = 0;  ///< bytes that crossed the (virtual) bus
   std::uint64_t copies = 0;      ///< buffer-to-buffer copy operations
-  std::uint64_t messages = 0;    ///< discrete messages (BrokerComm only)
+  std::uint64_t messages = 0;    ///< discrete messages (session frames)
 
   TransferStats& operator+=(const TransferStats& o) {
     wire_bytes += o.wire_bytes;
@@ -62,55 +63,42 @@ struct TransferStats {
   }
 };
 
-/// Moves float arrays between server and worker address spaces.
+/// Moves encoded chunks between server and worker address spaces.
+///
+/// Contract: submit_chunk() enqueues wire bytes without blocking on
+/// delivery; await_chunk() blocks until the *oldest* outstanding chunk is
+/// delivered and returns a view of its bytes (valid until the next
+/// submit/await/settle call), throwing ChecksumError when the payload was
+/// corrupted in flight — the caller then re-submits its pristine copy,
+/// which takes the discarded chunk's place; settle_chunks() runs after the
+/// last await and quiesces the transfer (for sessions: pumps until every
+/// frame is acked).
 class CommBackend {
  public:
   virtual ~CommBackend() = default;
 
-  /// Transfers src into dst (equal float counts) through the backend's
-  /// buffers using `codec` on the wire.  Direction-agnostic: Pull passes
-  /// (global, local), Push passes (local, staging).
-  virtual void transfer(std::span<const float> src, std::span<float> dst,
-                        Codec& codec) = 0;
-
   virtual std::string name() const = 0;
 
   /// Epoch cursor for transports whose fault schedule is epoch-addressed
-  /// (SessionComm forwards it to a chaos link); a no-op for the in-process
-  /// backends, so the legacy wire path is untouched.
+  /// (SessionComm forwards it to a chaos link); a no-op in-process.
   virtual void begin_epoch(std::uint32_t epoch) { (void)epoch; }
 
-  // --- Split-phase chunk API (comm/pipeline.hpp) ------------------------
-  //
-  // A StreamPipeline moves one logical transfer as several pre-encoded
-  // chunks so the sender's encode overlaps the wire and the receiver's
-  // commit.  Contract: submit_chunk() enqueues wire bytes without blocking
-  // on delivery; await_chunk() blocks until the *oldest* outstanding chunk
-  // is delivered and returns a view of its bytes (valid until the next
-  // submit/await/settle call), throwing ChecksumError when the payload was
-  // corrupted in flight — the caller re-submits its pristine copy;
-  // settle_chunks() runs after the last await and quiesces the transfer
-  // (for sessions: pumps until every frame is acked).  The base
-  // implementation queues in-process copies, so every backend supports the
-  // pipeline; SessionComm overrides it with real windowed frames.
-
   /// Enqueues one chunk's wire bytes (may deliver instantly in-process).
-  virtual void submit_chunk(std::span<const std::byte> wire);
+  virtual void submit_chunk(std::span<const std::byte> wire) = 0;
   /// Delivers the oldest outstanding chunk, in submission order.
-  virtual std::span<const std::byte> await_chunk();
+  virtual std::span<const std::byte> await_chunk() = 0;
   /// Post-transfer barrier: returns once nothing is outstanding.
   virtual void settle_chunks() {}
   /// Outstanding submitted-but-not-awaited chunks.
-  virtual std::size_t chunks_in_flight() const noexcept {
-    return pending_chunks_.size();
-  }
+  virtual std::size_t chunks_in_flight() const noexcept = 0;
 
   const TransferStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
   /// Enables the out-of-band payload checksum (8 extra wire bytes per
-  /// transfer; transfer() throws ChecksumError on mismatch).  Off by
-  /// default so the wire format is unchanged unless fault tolerance asks.
+  /// in-process chunk; await_chunk() throws ChecksumError on mismatch).
+  /// Off by default so the wire format is unchanged unless fault tolerance
+  /// asks.  Sessions always checksum their frames.
   void set_checksum_enabled(bool enabled) noexcept { checksum_ = enabled; }
   bool checksum_enabled() const noexcept { return checksum_; }
 
@@ -118,58 +106,44 @@ class CommBackend {
   void set_wire_tap(WireTap tap) { tap_ = std::move(tap); }
 
  protected:
-  /// Shared post-encode / pre-decode wire handling: applies the tap and,
-  /// with checksums on, verifies the payload survived (accounting for the
-  /// 8 checksum bytes).  Throws ChecksumError on mismatch.
-  void cross_wire(std::span<std::byte> wire);
-  /// Resolves this backend's per-strategy registry metrics on first use
-  /// (`comm.<name>.wire_bytes`, `.transfers`, `.messages`, `.codec_s`).
-  /// Lazy because name() is virtual and the registry lookup locks.
-  void ensure_metrics();
+  /// Bills one delivered chunk to stats() and to this backend's registry
+  /// metrics (`comm.<name>.wire_bytes`, `.transfers`, `.messages`),
+  /// resolved on first use because name() is virtual.
+  void account(std::size_t billed_bytes, std::uint64_t copies,
+               std::uint64_t messages);
 
   TransferStats stats_;
   bool checksum_ = false;
   WireTap tap_;
-  /// Base chunk-API state: queued in-process chunk copies and the delivered
-  /// buffer await_chunk() hands out.  After a ChecksumError the next
-  /// submit_chunk() is the caller's pristine re-send and must jump ahead of
-  /// any younger chunks already queued, preserving in-order delivery.
-  std::deque<std::vector<std::byte>> pending_chunks_;
-  std::vector<std::byte> awaited_chunk_;
-  bool resubmit_front_ = false;
+
+ private:
   obs::Counter* wire_bytes_counter_ = nullptr;
   obs::Counter* transfers_counter_ = nullptr;
   obs::Counter* messages_counter_ = nullptr;
-  obs::Histogram* codec_hist_ = nullptr;
 };
 
-/// "COMM": shared-buffer transport, one wire copy.
+/// "COMM": the in-process link.  A submitted chunk is copied once into a
+/// reused buffer of the receiver's queue; on delivery the tap runs, then
+/// the optional out-of-band checksum verifies the bytes before the caller
+/// decodes them.  The sender's bytes stay pristine, so a re-submit after a
+/// ChecksumError is byte-identical and jumps ahead of younger chunks.
 class ShmComm final : public CommBackend {
  public:
-  void transfer(std::span<const float> src, std::span<float> dst,
-                Codec& codec) override;
   std::string name() const override { return "COMM"; }
+  void submit_chunk(std::span<const std::byte> wire) override;
+  std::span<const std::byte> await_chunk() override;
+  std::size_t chunks_in_flight() const noexcept override {
+    return pending_.size();
+  }
 
  private:
-  std::vector<std::byte> shared_buffer_;  // the mapped pull/push buffer
-};
+  /// Returns the delivered chunk's buffer to spare_ once its view ends.
+  void recycle_delivered();
 
-/// "COMM-P": message broker transport (ps-lite-like), three extra copies.
-class BrokerComm final : public CommBackend {
- public:
-  /// `message_bytes` bounds each message (ps-lite chunks large tensors).
-  explicit BrokerComm(std::size_t message_bytes = 1 << 20)
-      : message_bytes_(message_bytes) {}
-
-  void transfer(std::span<const float> src, std::span<float> dst,
-                Codec& codec) override;
-  std::string name() const override { return "COMM-P"; }
-
- private:
-  std::size_t message_bytes_;
-  std::vector<std::byte> send_staging_;
-  std::deque<std::vector<std::byte>> broker_queue_;
-  std::vector<std::byte> recv_buffer_;
+  std::deque<std::vector<std::byte>> pending_;
+  std::vector<std::vector<std::byte>> spare_;  ///< recycled chunk buffers
+  std::vector<std::byte> delivered_;  ///< backs await_chunk()'s view
+  bool resubmit_front_ = false;
 };
 
 }  // namespace hcc::comm

@@ -1,4 +1,4 @@
-// Chunked streaming pipeline for the push/pull wire paths.
+// Chunked streaming pipeline: the one wire path for every P/Q transfer.
 //
 // A StreamPipeline splits one logical P/Q transfer into row-aligned chunks
 // and runs a bounded ring of them in flight through a CommBackend's
@@ -6,21 +6,22 @@
 // commits on the receiver, chunk i's EF encode is already underway.  In
 // steady state each chunk therefore costs max(encode, wire, commit)
 // instead of their sum — the Eq. 1 overlap term the cost model
-// (core/cost_model.cpp) predicts and bench_table5_comm measures.
+// (core/cost_model.cpp) predicts and bench_table5_comm measures.  Depth 1
+// is the same loop over a single chunk.
 //
-// The executor is core-aware.  With >= 2 hardware threads a dedicated
-// encoder thread produces chunks ahead of the main thread's submit/commit
-// loop, overlapping encode with wire and commit.  On a single-core host a
-// second thread cannot overlap anything — it only adds context switches —
-// so the same windowed ring runs inline: encode-and-submit until the
-// window fills, then commit the oldest.  Both executors emit chunks in the
-// same order, so the wire is bit-identical either way; what remains on a
-// single core is the wire-level overlap (several frames in flight share
-// the link instead of paying one round trip per chunk).
+// One ring loop serves both executors.  Each step fills the window —
+// encoding each chunk inline, or waiting for a dedicated encoder thread to
+// have encoded it — then submits it, and then commits the oldest chunk.
+// The encoder thread therefore decides only which thread encodes: the
+// order and number of backend calls are fixed, so the wire and a
+// session's virtual clock are identical either way.  The thread runs only
+// when a transfer has several chunks and the host has a second hardware
+// thread to run it (Threading::kAuto); one spare ring slot lets it encode
+// the chunk after the window while the caller commits the oldest.
 //
 // Guarantees:
-//  - depth 1 is the legacy path, bit-identical: one codec over the whole
-//    array, one CommBackend::transfer() call, the same metrics.
+//  - depth 1 sends the whole array as one chunk through one codec built
+//    with CommConfig::codec_threads.
 //  - depth > 1 decodes to bit-identical floats: the quantized codecs scale
 //    per k-block and chunks are block-aligned, so per-chunk codec state
 //    partitions the monolithic codec's state exactly.
@@ -56,9 +57,9 @@ class StreamPipeline {
     kPush,  ///< worker -> server
   };
 
-  /// How depth > 1 transfers drive the ring.  kAuto picks kThreaded when
-  /// the host has >= 2 hardware threads and kInline otherwise; both emit
-  /// bit-identical wire.  Process-wide test/bench seam.
+  /// Who encodes a multi-chunk transfer.  kAuto picks kThreaded when the
+  /// host has >= 2 hardware threads and kInline otherwise; both make the
+  /// same backend calls in the same order.  Process-wide test/bench seam.
   enum class Threading {
     kAuto,
     kInline,    ///< windowed ring on the calling thread only
@@ -85,14 +86,11 @@ class StreamPipeline {
   StreamPipeline(const CommConfig& config, std::size_t row_elems,
                  Direction direction, bool sparse_indexed = false);
 
-  /// In-flight window; 1 = legacy single-shot transfers.
+  /// In-flight window; 1 = one chunk per transfer.
   std::uint32_t depth() const noexcept { return depth_; }
-  /// Switches the window between epochs.  Crossing the 1 <-> N boundary
-  /// re-partitions codec state, so the next transfer re-keyframes.
+  /// Switches the window between epochs.  A new depth re-partitions codec
+  /// state, so the next transfer re-keyframes.
   void set_depth(std::uint32_t depth);
-  /// Row-aligned floats per chunk (sized from codec_threads so a 0-thread
-  /// per-chunk codec still saturates: threads x kParallelThreshold).
-  std::size_t chunk_floats() const noexcept { return chunk_floats_; }
   /// Chunks an n-float transfer splits into at the current depth.
   std::size_t chunk_count(std::size_t n_floats) const noexcept;
 
@@ -109,9 +107,8 @@ class StreamPipeline {
   /// Wire codec label for logs/summaries ("int8", "sparse+int8", ...).
   std::string codec_name();
 
-  /// Moves src into dst through `backend`.  With depth 1 this is exactly
-  /// one backend.transfer(); with depth > 1 it streams chunks through the
-  /// split-phase API, overlapping encode / wire / commit.
+  /// Moves src into dst through `backend`'s chunk API, overlapping
+  /// encode / wire / commit when the transfer has several chunks.
   void transfer(CommBackend& backend, std::span<const float> src,
                 std::span<float> dst, const RetryFn& retry = {},
                 const ChunkHook& on_chunk = {});
@@ -121,33 +118,31 @@ class StreamPipeline {
   std::unique_ptr<Codec> build_codec(std::uint32_t threads) const;
   void ensure_pipeline_metrics();
   std::pair<std::size_t, std::size_t> chunk_range(std::size_t chunk) const;
-  void transfer_single(CommBackend& backend, std::span<const float> src,
-                       std::span<float> dst, const RetryFn& retry,
-                       const ChunkHook& on_chunk);
-  void transfer_chunked(CommBackend& backend, std::span<const float> src,
-                        std::span<float> dst, const RetryFn& retry,
-                        const ChunkHook& on_chunk);
-  void transfer_chunked_inline(CommBackend& backend,
-                               std::span<const float> src,
-                               std::span<float> dst, const RetryFn& retry,
-                               const ChunkHook& on_chunk);
 
   CommConfig config_;
   std::size_t row_elems_;
   Direction dir_;
   bool sparse_indexed_;
   std::uint32_t depth_;
+  /// Row-aligned floats per chunk: the whole array at depth 1, else sized
+  /// from codec_threads so a 0-thread per-chunk codec still saturates
+  /// (threads x kParallelThreshold).
   std::size_t chunk_floats_;
 
-  /// depth 1: exactly one codec over the whole array.  depth > 1: one per
-  /// chunk, each created with 0 threads (the encoder thread and the chunk
-  /// fan-out are the parallelism; nesting pools would explode threads).
+  /// One codec per chunk.  depth 1: a single codec with codec_threads.
+  /// depth > 1: each created with 0 threads (the encoder thread and the
+  /// chunk fan-out are the parallelism; nesting pools would explode
+  /// threads).
   std::vector<std::unique_ptr<Codec>> codecs_;
   /// Aligned with codecs_: the SparseIndexedCodec view when wrapped.
   std::vector<SparseIndexedCodec*> sparse_views_;
   std::size_t n_floats_ = 0;
 
   std::span<const std::uint32_t> sparse_rows_;
+
+  /// Encoded wire per in-flight chunk, kept across transfers so a
+  /// steady-state transfer does not allocate.
+  std::vector<std::vector<std::byte>> ring_;
 
   obs::Counter* chunks_counter_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "fault/errors.hpp"
-#include "obs/span.hpp"
-#include "util/clock.hpp"
 
 namespace hcc::comm {
 
@@ -254,10 +252,6 @@ void SessionComm::reconnect_with_backoff() {
                              config_.reconnect_budget);
 }
 
-void SessionComm::pump_until_acked() {
-  pump_until([&] { return unacked_.empty(); });
-}
-
 void SessionComm::pump_until(const std::function<bool()>& done) {
   std::uint64_t last_progress = transport_->now();
   std::uint64_t last_sent = transport_->now();
@@ -321,7 +315,6 @@ void SessionComm::refresh_timers(std::size_t frame_bytes) {
 }
 
 void SessionComm::submit_chunk(std::span<const std::byte> wire) {
-  ensure_metrics();
   ensure_transport_metrics();
   const std::uint64_t seq = next_seq_++;
   unacked_[seq] = make_frame(FrameType::kData, seq, wire);
@@ -344,62 +337,16 @@ std::span<const std::byte> SessionComm::await_chunk() {
   awaited_ = std::move(delivered_q_.front());
   delivered_q_.pop_front();
   --outstanding_chunks_;
-  const std::size_t billed = awaited_.size() + FrameHeader::kBytes;
-  stats_.wire_bytes += billed;
-  stats_.copies += 2;  // sender frame pack + receiver delivery
-  stats_.messages += 1;
-  wire_bytes_counter_->add(billed);
-  transfers_counter_->add(1);
-  messages_counter_->add(1);
+  // Two copies: the sender's frame pack and the receiver's delivery.
+  account(awaited_.size() + FrameHeader::kBytes, /*copies=*/2,
+          /*messages=*/1);
   return awaited_;
 }
 
 void SessionComm::settle_chunks() {
   if (unacked_.empty()) return;
   ensure_transport_metrics();
-  pump_until_acked();
-}
-
-void SessionComm::transfer(std::span<const float> src, std::span<float> dst,
-                           Codec& codec) {
-  assert(src.size() == dst.size());
-  ensure_metrics();
-  ensure_transport_metrics();
-  obs::ScopedSpan span("transfer", obs::kCommCategory);
-  const std::size_t wire = codec.encoded_bytes(src.size());
-
-  std::vector<std::byte> payload(wire);
-  util::Stopwatch codec_watch;
-  codec.encode(src, payload);
-  double codec_s = codec_watch.seconds();
-
-  const std::uint64_t seq = next_seq_++;
-  unacked_[seq] = make_frame(FrameType::kData, seq, payload);
-  delivered_q_.clear();
-  refresh_timers(unacked_[seq].size());
-
-  transmit(seq);
-  pump_until_acked();
-
-  if (delivered_q_.empty() || delivered_q_.front().size() != wire) {
-    throw std::runtime_error(
-        "SessionComm: transfer acked without a matching delivery");
-  }
-  awaited_ = std::move(delivered_q_.front());
-  delivered_q_.pop_front();
-  codec_watch.reset();
-  codec.decode(std::span<const std::byte>(awaited_.data(), wire), dst);
-  codec_s += codec_watch.seconds();
-  codec_hist_->observe(codec_s);
-
-  const std::size_t billed = wire + FrameHeader::kBytes;
-  stats_.wire_bytes += billed;
-  stats_.copies += 2;  // sender frame pack + receiver delivery
-  stats_.messages += 1;
-  wire_bytes_counter_->add(billed);
-  transfers_counter_->add(1);
-  messages_counter_->add(1);
-  span.arg("bytes", std::to_string(billed));
+  pump_until([&] { return unacked_.empty(); });
 }
 
 }  // namespace hcc::comm

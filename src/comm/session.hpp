@@ -1,9 +1,9 @@
 // Sequence-numbered reliable sessions over a Transport (the protocol tier
 // of the elastic parameter server).
 //
-// A SessionComm is a CommBackend whose transfer() frames the encoded
-// payload and moves it through a lossy link with TCP-shaped machinery,
-// sized down to what a deterministic single-process harness needs:
+// A SessionComm is a CommBackend that frames each submitted chunk and
+// moves it through a lossy link with TCP-shaped machinery, sized down to
+// what a deterministic single-process harness needs:
 //
 //  - every data frame carries a session id, a sequence number and an
 //    FNV-1a payload checksum (the PR-2 wire checksum, now a frame field);
@@ -23,8 +23,8 @@
 //
 // Because the session delivers the exact encoded bytes exactly once, in
 // order, a chaos run that heals produces a bit-identical training
-// trajectory to the in-process transport — the RMSE-parity property the
-// replay tests pin down.
+// trajectory to the in-process link (ShmComm) — the RMSE-parity property
+// the replay tests pin down.
 #pragma once
 
 #include <cstddef>
@@ -81,17 +81,15 @@ class SessionComm final : public CommBackend {
   SessionComm(std::unique_ptr<Transport> transport,
               const TransportConfig& config, std::uint32_t worker);
 
-  void transfer(std::span<const float> src, std::span<float> dst,
-                Codec& codec) override;
   std::string name() const override { return "COMM-T"; }
   void begin_epoch(std::uint32_t epoch) override;
 
-  /// Windowed chunk mode (comm/pipeline.hpp): each chunk is its own
-  /// sequence-numbered data frame, so several are in flight per logical
-  /// transfer.  The receiver still delivers in order exactly once — chaos
-  /// drop/dup/reorder heal through the same retransmit/reorder machinery —
-  /// and settle_chunks() pumps until every frame is acked, restoring the
-  /// one-transfer-at-a-time invariant between transfers.
+  /// Each chunk is its own sequence-numbered data frame, so a pipeline
+  /// window keeps several in flight per logical transfer.  The receiver
+  /// still delivers in order exactly once — chaos drop/dup/reorder heal
+  /// through the same retransmit/reorder machinery — and settle_chunks()
+  /// pumps until every frame is acked, restoring the one-transfer-at-a-time
+  /// invariant between transfers.
   void submit_chunk(std::span<const std::byte> wire) override;
   std::span<const std::byte> await_chunk() override;
   void settle_chunks() override;
@@ -111,10 +109,8 @@ class SessionComm final : public CommBackend {
   /// session id.
   void transmit(std::uint64_t seq);
   void send_control(FrameType type, std::uint64_t seq);
-  /// Sizes the RTT/RTO/timeout timers from the largest frame currently in
-  /// flight (transfer() and submit_chunk() both route through this).
+  /// Sizes the RTT/RTO/timeout timers from the frame just submitted.
   void refresh_timers(std::size_t frame_bytes);
-  void pump_until_acked();
   /// Core protocol loop shared by every blocking wait: drains, heartbeats,
   /// retransmits on RTO and reconnects on timeout until `done()` holds.
   void pump_until(const std::function<bool()>& done);
@@ -136,17 +132,17 @@ class SessionComm final : public CommBackend {
   std::map<std::uint64_t, std::vector<std::byte>> unacked_;  ///< pristine
   std::map<std::uint64_t, std::uint64_t> send_tick_;
 
-  // Receiver state.  Deliveries queue in order; legacy transfer() pops
-  // exactly one, windowed await_chunk() pops them as they land.
+  // Receiver state.  Deliveries queue in order; await_chunk() pops them
+  // as they land.
   std::uint64_t last_delivered_seq_ = 0;
   std::map<std::uint64_t, std::vector<std::byte>> reorder_buffer_;
   std::deque<std::vector<std::byte>> delivered_q_;
   std::vector<std::byte> awaited_;  ///< backs the span await_chunk() returns
 
-  /// Chunks submitted but not yet awaited (windowed mode).
+  /// Chunks submitted but not yet awaited.
   std::size_t outstanding_chunks_ = 0;
 
-  // Timers (ticks), refreshed per transfer from the frame size.
+  // Timers (ticks), refreshed per submitted frame from its size.
   std::uint64_t heartbeat_ticks_ = 1;
   std::uint64_t rto_ticks_ = 1;
   std::uint64_t timeout_ticks_ = 1;

@@ -109,26 +109,15 @@ std::unique_ptr<Codec> make_pull_codec(const CommConfig& config,
   return make_codec(pull, row_elems);
 }
 
-std::unique_ptr<CommBackend> make_backend(const CommConfig& config) {
-  std::unique_ptr<CommBackend> backend;
-  if (config.backend == BackendKind::kBroker) {
-    backend = std::make_unique<BrokerComm>();
-  } else {
-    backend = std::make_unique<ShmComm>();
-  }
-  backend->set_checksum_enabled(config.checksum);
-  return backend;
-}
-
 std::unique_ptr<CommBackend> make_backend(const CommConfig& config,
                                           std::uint32_t worker) {
+  std::unique_ptr<CommBackend> backend;
   if (config.transport.kind == TransportKind::kInProcess) {
-    // Bit-identical guarantee: the default transport never interposes the
-    // session protocol on the single-box wire path.
-    return make_backend(config);
+    backend = std::make_unique<ShmComm>();
+  } else {
+    backend = std::make_unique<SessionComm>(
+        make_transport(config.transport, worker), config.transport, worker);
   }
-  auto backend = std::make_unique<SessionComm>(
-      make_transport(config.transport, worker), config.transport, worker);
   backend->set_checksum_enabled(config.checksum);
   return backend;
 }

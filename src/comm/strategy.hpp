@@ -4,7 +4,9 @@
 // (Strategy 1), FP16 compression (Strategy 2) and asynchronous multi-stream
 // pipelines (Strategy 3) — plus the backend choice (COMM vs COMM-P) into a
 // per-worker sim::CommPlan for the timing engine, and constructs the
-// matching functional codec/backend objects for the real data path.
+// functional codec and link objects for the real data path.  COMM-P exists
+// only in the timing plan: functionally every transfer rides ShmComm or a
+// SessionComm.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,8 @@
 
 namespace hcc::comm {
 
+/// Timing-model backend: kShm is COMM's one-copy path; kBroker scales the
+/// bus efficiency down by broker_penalty, reproducing Table 5's COMM-P.
 enum class BackendKind { kShm, kBroker };
 
 /// User-facing communication configuration.
@@ -40,22 +44,21 @@ struct CommConfig {
                                ///< paper's Section 4.6 identifies.  Adds a
                                ///< 4-byte row index per transmitted row.
   bool checksum = false;       ///< Fault-tolerance extension: out-of-band
-                               ///< payload checksum per transfer (8 wire
-                               ///< bytes); transfer() throws ChecksumError
-                               ///< on corruption.  Enabled by HccMf when a
+                               ///< payload checksum per in-process chunk
+                               ///< (8 wire bytes); a corrupt chunk throws
+                               ///< ChecksumError.  Enabled by HccMf when a
                                ///< fault plan / checkpoint dir is active.
   /// Chunked-streaming extension: how many row-aligned chunks of one P/Q
   /// transfer may be in flight at once (comm/pipeline.hpp).  Depth 1 (the
-  /// default) is the legacy single-shot path, bit-identical on the wire;
-  /// depth > 1 overlaps chunk i's encode with chunk i-1's wire transfer
-  /// and decode-side commit.
+  /// default) sends each transfer as one chunk through one codec; depth > 1
+  /// splits it so chunk i's encode overlaps chunk i-1's wire transfer and
+  /// decode-side commit.
   std::uint32_t pipeline_depth = 1;
   BackendKind backend = BackendKind::kShm;
 
   /// Elastic-transport extension: what kind of link the pull/push wire is.
-  /// The default (kInProcess) routes through the legacy backends above and
-  /// leaves the wire traffic bit-identical to previous releases; the other
-  /// kinds interpose a sequence-numbered session (comm/session.hpp) over a
+  /// The default (kInProcess) is the one-copy ShmComm link; the other kinds
+  /// interpose a sequence-numbered session (comm/session.hpp) over a
   /// simulated-latency or chaos link.
   TransportConfig transport;
 
@@ -116,12 +119,11 @@ std::unique_ptr<Codec> make_codec(const CommConfig& config,
 /// Codec for the pull stream: make_codec with pull_codec_kind applied.
 std::unique_ptr<Codec> make_pull_codec(const CommConfig& config,
                                        std::size_t row_elems = 0);
-std::unique_ptr<CommBackend> make_backend(const CommConfig& config);
 
-/// Worker-aware overload: with a non-default transport kind the backend is
-/// a SessionComm over that worker's link (the chaos schedule is addressed
-/// by worker id); kInProcess falls back to the legacy overload.
+/// The link for one worker: ShmComm for TransportKind::kInProcess, else a
+/// SessionComm over that worker's transport (the chaos schedule is
+/// addressed by worker id).  config.checksum arms ShmComm's checksum.
 std::unique_ptr<CommBackend> make_backend(const CommConfig& config,
-                                          std::uint32_t worker);
+                                          std::uint32_t worker = 0);
 
 }  // namespace hcc::comm

@@ -24,18 +24,6 @@ TransportKind transport_kind_by_name(const std::string& name) {
                               "' (in-process, sim-latency, chaos)");
 }
 
-void InProcessTransport::send(Dir dir, std::vector<std::byte> frame) {
-  queues_[static_cast<std::size_t>(dir)].push_back(std::move(frame));
-}
-
-bool InProcessTransport::recv(Dir dir, std::vector<std::byte>& frame) {
-  auto& q = queues_[static_cast<std::size_t>(dir)];
-  if (q.empty()) return false;
-  frame = std::move(q.front());
-  q.pop_front();
-  return true;
-}
-
 SimLatencyTransport::SimLatencyTransport(sim::LinkSpec link)
     : link_(std::move(link)), tick_s_(std::max(link_.latency_s, 1e-6)) {}
 
@@ -200,7 +188,8 @@ std::unique_ptr<Transport> make_transport(const TransportConfig& config,
                                           std::uint32_t worker) {
   switch (config.kind) {
     case TransportKind::kInProcess:
-      return std::make_unique<InProcessTransport>();
+      throw std::invalid_argument(
+          "the in-process link has no transport (make_backend gives ShmComm)");
     case TransportKind::kSimLatency:
       return std::make_unique<SimLatencyTransport>(
           sim::link_by_name(config.link));

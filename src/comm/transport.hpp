@@ -1,5 +1,5 @@
-// Pluggable inter-node links under the COMM backends (the transport tier
-// of the elastic parameter server).
+// Pluggable inter-node links under SessionComm (the transport tier of the
+// elastic parameter server).
 //
 // The paper's framework is a single box; scaling it out (ROADMAP item 4)
 // means the pull/push wire may now be a real network link that drops,
@@ -8,12 +8,10 @@
 // server channel, running on a *virtual tick clock* so every schedule is
 // deterministic and tests never sleep.
 //
-// Three implementations:
-//  - InProcessTransport: frames arrive the tick they are sent — the
-//    degenerate link the single-box build always had.  (The default
-//    TransportKind::kInProcess configuration does not even construct a
-//    transport: make_backend routes to the legacy ShmComm/BrokerComm path,
-//    keeping the wire traffic bit-identical to previous releases.)
+// The default TransportKind::kInProcess constructs no transport at all:
+// make_backend gives the single-box ShmComm link, which copies each chunk
+// once and skips the session's framing and per-frame checksums.  Two
+// implementations model a network link:
 //  - SimLatencyTransport: arrival times follow a sim::LinkSpec calibrated
 //    like Table 2 calibrated the intra-box buses (peak bandwidth, per-
 //    message latency, sustained efficiency), so a "100GbE" run observes
@@ -79,7 +77,7 @@ struct TransportConfig {
 };
 
 /// One direction of the full-duplex link (data flows forward, acks flow
-/// reverse — "forward" is whichever end transfer() is pushing from).
+/// reverse — "forward" is whichever end is submitting chunks).
 enum class Dir : std::uint8_t { kForward, kReverse };
 
 /// Raw frame mover between the two ends of one worker<->server link.
@@ -125,17 +123,6 @@ class Transport {
 
  protected:
   std::uint64_t now_ = 0;
-};
-
-/// Zero-latency FIFO link: today's single-box behavior as a Transport.
-class InProcessTransport final : public Transport {
- public:
-  void send(Dir dir, std::vector<std::byte> frame) override;
-  bool recv(Dir dir, std::vector<std::byte>& frame) override;
-  std::string name() const override { return "in-process"; }
-
- private:
-  std::deque<std::vector<std::byte>> queues_[2];
 };
 
 /// Calibrated-latency link: FIFO per direction, each frame's arrival tick
@@ -215,9 +202,9 @@ class ChaosTransport final : public SimLatencyTransport {
   obs::Counter* drops_counter_ = nullptr;
 };
 
-/// Builds the configured transport for one worker link (kInProcess gives
-/// an InProcessTransport; callers normally avoid even that by routing
-/// kInProcess through the legacy backends — see make_backend).
+/// Builds the configured network transport for one worker link.  Throws
+/// std::invalid_argument for kInProcess, which is ShmComm's link and has no
+/// transport (see make_backend).
 std::unique_ptr<Transport> make_transport(const TransportConfig& config,
                                           std::uint32_t worker);
 

@@ -125,8 +125,8 @@ comm::StreamPipeline::RetryFn TrainWorker::retry_policy() {
         if (tries >= fault_->options().max_retries) {
           throw fault::TransferFailure(id_, tries + 1, backend_->name());
         }
-        // The attempt re-sends pristine bytes (a depth-1 transfer even
-        // re-encodes from `src`), so a retry is idempotent.
+        // The attempt re-sends the chunk's pristine encoded bytes, so a
+        // retry is idempotent.
         fault_->count_retry();
         const double backoff = fault_->options().backoff_base_s *
                                static_cast<double>(1u << tries);
@@ -193,7 +193,7 @@ void TrainWorker::pull(Server& server) {
   if (fault_ != nullptr) {
     fault_->injector().check_phase(id_);
     // Epoch-addressed transport faults (chaos link) follow the injector's
-    // cursor; a no-op for the in-process backends.
+    // cursor; a no-op for the in-process link.
     backend_->begin_epoch(fault_->injector().current_epoch());
   }
   obs::ScopedSpan span("pull", obs::kPhaseCategory, track_of(id_));

@@ -5,9 +5,9 @@
 // or straggles) and the COMM wire (a transfer that delivers corrupt
 // bytes).  The training loop advances the injector's epoch cursor;
 // workers consult it at every phase start and route their wire buffers
-// through its tap, so both ShmComm and BrokerComm are exercised
-// identically.  With an empty plan every query is an O(1) no-op returning
-// "healthy".
+// through its tap, which both links (ShmComm, SessionComm) apply to every
+// delivered chunk.  With an empty plan every query is an O(1) no-op
+// returning "healthy".
 //
 // Under the concurrent epoch executor several workers consult the injector
 // at once, so the mutable schedule state (fired kills, burned corruption

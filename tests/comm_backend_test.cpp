@@ -1,10 +1,13 @@
-// Tests for the COMM and COMM-P functional transports.
+// Tests for the in-process COMM link (ShmComm): lossless delivery through a
+// depth-1 pipeline, copy and byte accounting, and the chunk API's
+// checksum / pristine re-send contract.
 #include "comm/backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "comm/pipeline.hpp"
 #include "util/rng.hpp"
 
 namespace hcc::comm {
@@ -17,69 +20,73 @@ std::vector<float> payload(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// One chunk per transfer through `kind`'s codec.
+StreamPipeline depth_one(CodecKind kind) {
+  CommConfig config;
+  config.codec = kind;
+  return StreamPipeline(config, /*row_elems=*/1,
+                        StreamPipeline::Direction::kPush);
+}
+
+std::vector<std::byte> bytes_of(std::size_t n, std::byte fill) {
+  return std::vector<std::byte>(n, fill);
+}
+
 TEST(ShmComm, DeliversPayloadLosslesslyWithFp32) {
   ShmComm shm;
-  Fp32Codec codec;
+  StreamPipeline pipe = depth_one(CodecKind::kFp32);
   const auto src = payload(10000, 1);
   std::vector<float> dst(src.size());
-  shm.transfer(src, dst, codec);
+  pipe.transfer(shm, src, dst);
   EXPECT_EQ(dst, src);
   EXPECT_EQ(shm.name(), "COMM");
 }
 
-TEST(BrokerComm, DeliversIdenticalPayloadToShm) {
-  // COMM and COMM-P have "same function" (Section 4.4): byte-identical
-  // delivery, different cost structure.
-  ShmComm shm;
-  BrokerComm broker(1 << 12);
-  Fp32Codec codec;
-  const auto src = payload(10000, 2);
-  std::vector<float> via_shm(src.size());
-  std::vector<float> via_broker(src.size());
-  shm.transfer(src, via_shm, codec);
-  broker.transfer(src, via_broker, codec);
-  EXPECT_EQ(via_shm, via_broker);
-  EXPECT_EQ(broker.name(), "COMM-P");
-}
-
 TEST(ShmComm, CountsOneCopyPerTransfer) {
   ShmComm shm;
-  Fp32Codec codec;
+  StreamPipeline pipe = depth_one(CodecKind::kFp32);
   const auto src = payload(100, 3);
   std::vector<float> dst(src.size());
-  shm.transfer(src, dst, codec);
-  shm.transfer(src, dst, codec);
+  pipe.transfer(shm, src, dst);
+  pipe.transfer(shm, src, dst);
   EXPECT_EQ(shm.stats().copies, 2u);
   EXPECT_EQ(shm.stats().wire_bytes, 2u * 400u);
   EXPECT_EQ(shm.stats().messages, 0u);
 }
 
-TEST(BrokerComm, CountsThreeCopiesAndMessages) {
-  BrokerComm broker(/*message_bytes=*/256);
-  Fp32Codec codec;
-  const auto src = payload(100, 4);  // 400 wire bytes -> 2 messages
-  std::vector<float> dst(src.size());
-  broker.transfer(src, dst, codec);
-  EXPECT_EQ(broker.stats().copies, 3u);
-  EXPECT_EQ(broker.stats().messages, 2u);
-  EXPECT_EQ(broker.stats().wire_bytes, 400u);
-}
-
-TEST(BrokerComm, MessageCountScalesWithPayload) {
-  BrokerComm broker(1024);
-  Fp32Codec codec;
-  const auto src = payload(1024, 5);  // 4096 bytes -> 4 messages
-  std::vector<float> dst(src.size());
-  broker.transfer(src, dst, codec);
-  EXPECT_EQ(broker.stats().messages, 4u);
+TEST(ShmComm, ChecksumResendReplacesTheCorruptChunkInOrder) {
+  // A corrupt delivery throws; the caller's pristine re-send takes the
+  // discarded chunk's place ahead of younger chunks already queued.
+  ShmComm shm;
+  shm.set_checksum_enabled(true);
+  bool corrupt = true;
+  shm.set_wire_tap([&corrupt](std::span<std::byte> wire) {
+    if (corrupt) wire[0] ^= std::byte{0xff};
+    corrupt = false;
+  });
+  const auto first = bytes_of(16, std::byte{1});
+  const auto second = bytes_of(8, std::byte{2});
+  shm.submit_chunk(first);
+  shm.submit_chunk(second);
+  EXPECT_EQ(shm.chunks_in_flight(), 2u);
+  EXPECT_THROW(shm.await_chunk(), ChecksumError);
+  shm.submit_chunk(first);
+  auto got = shm.await_chunk();
+  EXPECT_EQ(std::vector<std::byte>(got.begin(), got.end()), first);
+  got = shm.await_chunk();
+  EXPECT_EQ(std::vector<std::byte>(got.begin(), got.end()), second);
+  EXPECT_EQ(shm.chunks_in_flight(), 0u);
+  // Billed per delivered chunk, with the 8 out-of-band checksum bytes.
+  EXPECT_EQ(shm.stats().wire_bytes, (16u + 8u) + (8u + 8u));
+  EXPECT_THROW(shm.await_chunk(), std::runtime_error);
 }
 
 TEST(Backends, Fp16TransferHalvesWireBytes) {
   ShmComm shm;
-  Fp16Codec fp16;
+  StreamPipeline pipe = depth_one(CodecKind::kFp16);
   const auto src = payload(1000, 6);
   std::vector<float> dst(src.size());
-  shm.transfer(src, dst, fp16);
+  pipe.transfer(shm, src, dst);
   EXPECT_EQ(shm.stats().wire_bytes, 2000u);
   // Payload arrives quantized but close.
   for (std::size_t i = 0; i < src.size(); ++i) {
@@ -89,10 +96,10 @@ TEST(Backends, Fp16TransferHalvesWireBytes) {
 
 TEST(Backends, StatsAccumulateAndReset) {
   ShmComm shm;
-  Fp32Codec codec;
+  StreamPipeline pipe = depth_one(CodecKind::kFp32);
   const auto src = payload(10, 7);
   std::vector<float> dst(src.size());
-  shm.transfer(src, dst, codec);
+  pipe.transfer(shm, src, dst);
   EXPECT_GT(shm.stats().wire_bytes, 0u);
   shm.reset_stats();
   EXPECT_EQ(shm.stats().wire_bytes, 0u);

@@ -1,9 +1,10 @@
-// Chunked streaming pipeline tests (comm/pipeline.hpp): depth-1 legacy
-// equivalence, depth-N bit-identical decode, sub-chunk transfers, sizes
-// straddling the codec parallel threshold, depth changes re-keyframing,
-// byte-identical per-chunk retry after ChecksumError, sparse indexed
-// framing, windowed session transfers healing under chaos, and the cost
-// model's Eq. 1 overlap term.
+// Chunked streaming pipeline tests (comm/pipeline.hpp): depth 1 equals a
+// bare codec round trip, depth-N bit-identical decode, sub-chunk
+// transfers, sizes straddling the codec parallel threshold, depth changes
+// re-keyframing, byte-identical per-chunk retry after ChecksumError,
+// sparse indexed framing, windowed session transfers healing under chaos,
+// the encoder thread leaving a chaos session's wire unchanged, and the
+// cost model's Eq. 1 overlap term.
 #include "comm/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -51,25 +52,29 @@ std::vector<float> evolving(std::size_t n, int round) {
 }
 
 TEST(Pipeline, DepthOneMatchesLegacyTransferBitIdentically) {
-  // The depth-1 pipeline must be byte-for-byte the old single-codec path:
-  // same outputs, same wire bytes, across an EF keyframe + steady rounds.
+  // A depth-1 transfer is one chunk through one codec: byte-for-byte a
+  // bare encode/decode round trip of the whole array — same outputs, same
+  // wire bytes, one copy each — across an EF keyframe + steady rounds.
   const std::size_t n = 40 * kK;
   CommConfig config = int8_config(1);
 
-  ShmComm legacy_backend;
-  auto legacy_codec = make_codec(config, kK);
+  auto bare_codec = make_codec(config, kK);
+  std::size_t bare_wire_bytes = 0;
   ShmComm piped_backend;
   StreamPipeline pipe(config, kK, StreamPipeline::Direction::kPush);
 
   for (int round = 0; round < 5; ++round) {
     const std::vector<float> src = evolving(n, round);
-    std::vector<float> legacy_dst(n, 0.0f), piped_dst(n, 0.0f);
-    legacy_backend.transfer(src, legacy_dst, *legacy_codec);
+    std::vector<std::byte> wire(bare_codec->encoded_bytes(n));
+    bare_codec->encode(src, wire);
+    bare_wire_bytes += wire.size();
+    std::vector<float> bare_dst(n, 0.0f), piped_dst(n, 0.0f);
+    bare_codec->decode(wire, bare_dst);
     pipe.transfer(piped_backend, src, piped_dst);
-    EXPECT_EQ(legacy_dst, piped_dst) << "round " << round;
+    EXPECT_EQ(bare_dst, piped_dst) << "round " << round;
   }
-  EXPECT_EQ(legacy_backend.stats().wire_bytes, piped_backend.stats().wire_bytes);
-  EXPECT_EQ(legacy_backend.stats().copies, piped_backend.stats().copies);
+  EXPECT_EQ(bare_wire_bytes, piped_backend.stats().wire_bytes);
+  EXPECT_EQ(piped_backend.stats().copies, 5u);
 }
 
 TEST(Pipeline, DepthFourDecodesBitIdenticalToDepthOne) {
@@ -328,6 +333,57 @@ TEST(Pipeline, SessionWindowedChunksHealUnderChaos) {
   }
   EXPECT_GE(dropping.transport_stats().retransmits, 1u);
   EXPECT_GE(duping.transport_stats().dup_discards, 1u);
+}
+
+TEST(Pipeline, ThreadedRingRepeatsInlineWireOverChaosSession) {
+  // The encoder thread only decides which thread encodes: over a chaos
+  // session that drops, duplicates, reorders and severs, the threaded
+  // ring makes the inline ring's backend calls in the same order, so the
+  // decoded floats, every protocol counter and the virtual clock agree.
+  const std::size_t n = 8 * Fp16Codec::kParallelThreshold + 3 * kK;
+  auto chaos_session = [] {
+    TransportConfig config;
+    config.kind = TransportKind::kChaos;
+    config.link = "local";
+    config.plan = fault::FaultPlan::parse(
+        "drop:w0@e0n2;dup:w0@e1n3;reorder:w0@e2n2;disconnect:w0@e3n2");
+    return SessionComm(make_transport(config, 0), config, 0);
+  };
+  SessionComm inline_link = chaos_session();
+  SessionComm threaded_link = chaos_session();
+  StreamPipeline inline_pipe(int8_config(4), kK,
+                             StreamPipeline::Direction::kPush);
+  StreamPipeline threaded_pipe(int8_config(4), kK,
+                               StreamPipeline::Direction::kPush);
+  ASSERT_GT(inline_pipe.chunk_count(n), 5u);
+
+  for (std::uint32_t round = 0; round < 5; ++round) {
+    const std::vector<float> src = evolving(n, static_cast<int>(round));
+    std::vector<float> inline_dst(n, 0.0f), threaded_dst(n, 0.0f);
+    inline_link.begin_epoch(round);
+    threaded_link.begin_epoch(round);
+    StreamPipeline::set_threading(StreamPipeline::Threading::kInline);
+    inline_pipe.transfer(inline_link, src, inline_dst);
+    StreamPipeline::set_threading(StreamPipeline::Threading::kThreaded);
+    threaded_pipe.transfer(threaded_link, src, threaded_dst);
+    StreamPipeline::set_threading(StreamPipeline::Threading::kAuto);
+    EXPECT_EQ(inline_dst, threaded_dst) << "round " << round;
+
+    const TransportStats& a = inline_link.transport_stats();
+    const TransportStats& b = threaded_link.transport_stats();
+    EXPECT_EQ(a.frames, b.frames) << "round " << round;
+    EXPECT_EQ(a.retransmits, b.retransmits) << "round " << round;
+    EXPECT_EQ(a.reconnects, b.reconnects) << "round " << round;
+    EXPECT_EQ(a.dup_discards, b.dup_discards) << "round " << round;
+    EXPECT_EQ(inline_link.link_transport().now(),
+              threaded_link.link_transport().now())
+        << "round " << round;
+  }
+  // The schedule really fired, so the equalities above compare healing.
+  const TransportStats& healed = threaded_link.transport_stats();
+  EXPECT_GE(healed.retransmits, 1u);
+  EXPECT_GE(healed.dup_discards, 1u);
+  EXPECT_GE(healed.reconnects, 1u);
 }
 
 TEST(Pipeline, CostModelUsesOverlapTermForDeepPipelines) {

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "comm/pipeline.hpp"
 #include "comm/session.hpp"
 #include "comm/strategy.hpp"
 #include "core/hccmf.hpp"
@@ -33,6 +34,14 @@ SessionComm session_over(const TransportConfig& config,
   return SessionComm(make_transport(config, worker), config, worker);
 }
 
+/// Lossless depth-1 pipeline: each transfer is one fp32 chunk frame.
+StreamPipeline fp32_pipe() {
+  CommConfig config;
+  config.codec = CodecKind::kFp32;
+  return StreamPipeline(config, /*row_elems=*/1,
+                        StreamPipeline::Direction::kPush);
+}
+
 std::vector<float> ramp(std::size_t n) {
   std::vector<float> v(n);
   std::iota(v.begin(), v.end(), 1.0f);
@@ -44,10 +53,10 @@ TEST(SessionReplay, CleanLinkDeliversExactBytes) {
   config.kind = TransportKind::kSimLatency;
   config.link = "100GbE";
   SessionComm comm = session_over(config);
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   const std::vector<float> src = ramp(512);
   std::vector<float> dst(512, 0.0f);
-  comm.transfer(src, dst, codec);
+  pipe.transfer(comm, src, dst);
   EXPECT_EQ(src, dst);
   EXPECT_EQ(comm.transport_stats().frames, 1u);
   EXPECT_EQ(comm.transport_stats().retransmits, 0u);
@@ -55,11 +64,11 @@ TEST(SessionReplay, CleanLinkDeliversExactBytes) {
 
 TEST(SessionReplay, DuplicateDeliveryIsDedupedIdempotently) {
   SessionComm comm = session_over(chaos_config("dup:w0@e0n3"));
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   for (int round = 0; round < 4; ++round) {
     const std::vector<float> src = ramp(64 + static_cast<std::size_t>(round));
     std::vector<float> dst(src.size(), 0.0f);
-    comm.transfer(src, dst, codec);
+    pipe.transfer(comm, src, dst);
     EXPECT_EQ(src, dst) << "round " << round;
   }
   EXPECT_GE(comm.transport_stats().dup_discards, 1u);
@@ -69,21 +78,21 @@ TEST(SessionReplay, ReorderedFramesDeliverInSequenceOrder) {
   // The held frame of transfer N is released by transfer N+1's frame (or a
   // heartbeat); the reorder buffer re-sequences them.
   SessionComm comm = session_over(chaos_config("reorder:w0@e0n2"));
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   for (int round = 0; round < 4; ++round) {
     const std::vector<float> src = ramp(96);
     std::vector<float> dst(src.size(), 0.0f);
-    comm.transfer(src, dst, codec);
+    pipe.transfer(comm, src, dst);
     EXPECT_EQ(src, dst) << "round " << round;
   }
 }
 
 TEST(SessionReplay, DroppedFrameHealsByRetransmission) {
   SessionComm comm = session_over(chaos_config("drop:w0@e0n2"));
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   const std::vector<float> src = ramp(128);
   std::vector<float> dst(src.size(), 0.0f);
-  comm.transfer(src, dst, codec);
+  pipe.transfer(comm, src, dst);
   EXPECT_EQ(src, dst);
   EXPECT_GE(comm.transport_stats().retransmits, 1u);
 }
@@ -101,10 +110,10 @@ TEST(SessionReplay, CorruptFrameIsDiscardedAndRetransmitted) {
     armed = false;
     wire[0] ^= std::byte{0xff};
   });
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   const std::vector<float> src = ramp(64);
   std::vector<float> dst(src.size(), 0.0f);
-  comm.transfer(src, dst, codec);
+  pipe.transfer(comm, src, dst);
   EXPECT_EQ(src, dst);
   EXPECT_GE(comm.transport_stats().checksum_drops, 1u);
   EXPECT_GE(comm.transport_stats().retransmits, 1u);
@@ -114,17 +123,17 @@ TEST(SessionReplay, DisconnectReconnectsWithNewSessionAndReplays) {
   TransportConfig config = chaos_config("disconnect:w0@e0n2");
   config.reconnect_budget = 5;
   SessionComm comm = session_over(config);
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   const std::vector<float> src = ramp(256);
   std::vector<float> dst(src.size(), 0.0f);
-  comm.transfer(src, dst, codec);
+  pipe.transfer(comm, src, dst);
   EXPECT_EQ(src, dst);
   EXPECT_GE(comm.transport_stats().reconnects, 1u);
   EXPECT_GT(comm.session_id(), 1u);  // a new session was minted
   // The link is healed: the next transfer flows without reconnecting again.
   const std::uint64_t reconnects = comm.transport_stats().reconnects;
   std::vector<float> dst2(src.size(), 0.0f);
-  comm.transfer(src, dst2, codec);
+  pipe.transfer(comm, src, dst2);
   EXPECT_EQ(src, dst2);
   EXPECT_EQ(comm.transport_stats().reconnects, reconnects);
 }
@@ -133,11 +142,11 @@ TEST(SessionReplay, ExhaustedReconnectBudgetThrowsLinkDeadError) {
   TransportConfig config = chaos_config("disconnect:w2@e0n99");
   config.reconnect_budget = 3;
   SessionComm comm = session_over(config, /*worker=*/2);
-  Fp32Codec codec;
+  StreamPipeline pipe = fp32_pipe();
   const std::vector<float> src = ramp(32);
   std::vector<float> dst(src.size(), 0.0f);
   try {
-    comm.transfer(src, dst, codec);
+    pipe.transfer(comm, src, dst);
     FAIL() << "expected fault::LinkDeadError";
   } catch (const fault::LinkDeadError& dead) {
     EXPECT_EQ(dead.worker(), 2u);

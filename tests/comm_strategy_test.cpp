@@ -137,11 +137,21 @@ TEST(Strategy, FactoriesMatchConfig) {
   config.fp16 = true;
   config.backend = BackendKind::kBroker;
   EXPECT_EQ(make_codec(config)->name(), "fp16");
-  EXPECT_EQ(make_backend(config)->name(), "COMM-P");
+  // COMM-P is a timing-model setting: the plan pays broker_penalty, while
+  // the functional link stays the in-process COMM.
+  CommConfig shm = config;
+  shm.backend = BackendKind::kShm;
+  const auto shape = netflix_shape();
+  EXPECT_NEAR(make_comm_plan(shm, shape, sim::rtx_2080()).bus_efficiency /
+                  make_comm_plan(config, shape, sim::rtx_2080()).bus_efficiency,
+              config.broker_penalty, 1e-9);
+  EXPECT_EQ(make_backend(config)->name(), "COMM");
   config.fp16 = false;
   config.backend = BackendKind::kShm;
   EXPECT_EQ(make_codec(config)->name(), "fp32");
   EXPECT_EQ(make_backend(config)->name(), "COMM");
+  config.transport.kind = TransportKind::kSimLatency;
+  EXPECT_EQ(make_backend(config, /*worker=*/1)->name(), "COMM-T");
 }
 
 TEST(Strategy, CodecKindDefersToLegacyFp16Flag) {

@@ -50,20 +50,6 @@ TEST(Transport, LinkRttGrowsWithPayloadAndLatency) {
   EXPECT_GE(slow.rtt_s(0), 2.0 * slow.latency_s);
 }
 
-TEST(Transport, InProcessIsAnImmediateFifo) {
-  InProcessTransport t;
-  t.send(Dir::kForward, frame_of(4, std::byte{1}));
-  t.send(Dir::kForward, frame_of(4, std::byte{2}));
-  std::vector<std::byte> got;
-  ASSERT_TRUE(t.recv(Dir::kForward, got));
-  EXPECT_EQ(got[0], std::byte{1});
-  ASSERT_TRUE(t.recv(Dir::kForward, got));
-  EXPECT_EQ(got[0], std::byte{2});
-  EXPECT_FALSE(t.recv(Dir::kForward, got));
-  // Directions are independent queues.
-  EXPECT_FALSE(t.recv(Dir::kReverse, got));
-}
-
 TEST(Transport, SimLatencyDeliversOnlyAfterTheModeledTicks) {
   SimLatencyTransport t(sim::link_100gbe());
   const std::uint64_t ticks = t.one_way_ticks(256);
@@ -202,8 +188,9 @@ TEST(Transport, ChaosReverseDirectionFlowsClean) {
 
 TEST(Transport, MakeTransportHonorsKindAndLink) {
   TransportConfig config;
+  // The in-process link is ShmComm's and has no transport to make.
   config.kind = TransportKind::kInProcess;
-  EXPECT_EQ(make_transport(config, 0)->name(), "in-process");
+  EXPECT_THROW(make_transport(config, 0), std::invalid_argument);
   config.kind = TransportKind::kSimLatency;
   config.link = "10GbE";
   EXPECT_EQ(make_transport(config, 0)->name(), "10GbE");
