@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
                {"r1star", &r1star}}) {
         core::HccMfConfig config = base_config(name);
         config.comm.reduce_payload = v.reduce;
-        config.comm.fp16 = v.fp16;
+        config.comm.codec =
+            v.fp16 ? comm::CodecKind::kFp16 : comm::CodecKind::kFp32;
         config.comm.streams = v.streams;
         config.comm.sparse = v.sparse;
         row.push_back(util::Table::num(run(config, *shape), 3));

@@ -6,12 +6,14 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "data/datasets.hpp"
 #include "obs/json.hpp"
 #include "sim/perf_model.hpp"
+#include "simd/dispatch.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -35,8 +37,9 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
 /// BENCH_*.json perf trajectory CI archives.  Document shape:
 ///
 ///   {"bench": "<name>",
-///    "meta": {"schema": 3, "schedule": "...", "tile_kb": N, "pin": 0|1,
-///             "codec": "...", "key": value, ...},
+///    "meta": {"schema": 4, "schedule": "...", "tile_kb": N, "pin": 0|1,
+///             "codec": "...", "host_cpus": N, "isa": "...",
+///             "key": value, ...},
 ///    "sections": {"<section>": [{"col": value, ...}, ...], ...}}
 ///
 /// Schema history: v1 had no schema marker; v2 stamps "schema" plus the
@@ -44,14 +47,16 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
 /// budget and whether threads were pinned — parsed from the same argv the
 /// bench itself reads, so two BENCH_*.json files are comparable at a glance
 /// even for benches that predate the scheduler; v3 adds the wire "codec"
-/// (the --codec flag: auto/fp32/fp16/int8/2bit).
+/// (the --codec flag: fp32/fp16/int8/2bit, default fp16); v4 stamps the
+/// host every run measures on: its CPU count ("host_cpus") and the
+/// dispatched SIMD kernel set ("isa").
 ///
 /// Cells that parse fully as decimal numbers are emitted as JSON numbers
 /// (so "0.368" stays a number while "18.3x" stays a string).
 class JsonReport {
  public:
   /// Bumped when the document shape or standard meta set changes.
-  static constexpr int kSchemaVersion = 3;
+  static constexpr int kSchemaVersion = 4;
 
   /// Reads `--json-out` from argv; disabled (no file written) when absent.
   JsonReport(int argc, const char* const* argv, std::string bench_name)
@@ -63,7 +68,10 @@ class JsonReport {
     meta("tile_kb",
          static_cast<double>(cli.get("tile-kb", std::int64_t{2048})));
     meta("pin", cli.get("pin", false) ? 1.0 : 0.0);
-    meta("codec", cli.get("codec", std::string("auto")));
+    meta("codec", cli.get("codec", std::string("fp16")));
+    meta("host_cpus",
+         static_cast<double>(std::thread::hardware_concurrency()));
+    meta("isa", simd::kernels().name);
   }
 
   JsonReport(const JsonReport&) = delete;

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     const auto platform = sim::combo("6242-2080S", {"6242-24T", "2080S"});
     core::HccMfConfig config = config_for(platform);
     config.comm.reduce_payload = false;
-    config.comm.fp16 = false;
+    config.comm.codec = comm::CodecKind::kFp32;
     config.comm.backend = comm::BackendKind::kBroker;
     run("6242-2080S (bad communication)", platform, "bad collaboration",
         config);

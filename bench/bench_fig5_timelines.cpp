@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     core::HccMfConfig config;
     config.platform = sim::paper_workstation_hetero();
     config.comm.reduce_payload = false;
-    config.comm.fp16 = false;
+    config.comm.codec = comm::CodecKind::kFp32;
     config.dataset_name = "netflix";
     draw_timeline("original (even partition, P&Q FP32) — Netflix",
                   epoch_of(config, netflix, core::PartitionStrategy::kEven));

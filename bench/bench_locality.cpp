@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
       config.sgd = mf::SgdConfig::for_dataset(pspec.reg_lambda, 0.01f, 16);
       config.sgd.epochs = parity_epochs;
       config.sgd.seed = 300 + seed;
-      config.comm.fp16 = false;
+      config.comm.codec = comm::CodecKind::kFp32;
       config.platform = sim::paper_workstation_hetero();
       for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;
       config.dataset_name = pspec.name;

@@ -17,14 +17,12 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/hccmf.hpp"
 #include "data/datasets.hpp"
 #include "sim/platform.hpp"
-#include "simd/dispatch.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -84,7 +82,7 @@ int main(int argc, char** argv) {
     core::HccMfConfig config;
     config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, k);
     config.sgd.epochs = epochs;
-    config.comm.fp16 = false;
+    config.comm.codec = comm::CodecKind::kFp32;
     config.platform = sim::combo(
         "bench-homog",
         std::vector<std::string>(n_workers, "6242-24T"));
@@ -99,9 +97,6 @@ int main(int argc, char** argv) {
   report.meta("k", static_cast<double>(k));
   report.meta("epochs", static_cast<double>(epochs));
   report.meta("workers", static_cast<double>(n_workers));
-  report.meta("host_cpus",
-              static_cast<double>(std::thread::hardware_concurrency()));
-  report.meta("isa", simd::kernels().name);
 
   std::vector<RunResult> results;
   results.push_back(run_once("serial", base_config(), train, test));

@@ -1,19 +1,17 @@
 // Related-work comparison (Section 5): all implemented SGD-MF schedules on
-// one problem — serial, Hogwild, FPSGD, CuMF-style batched, DSGD and
-// NOMAD — plus HCC-MF.  Functional comparison on a scaled synthetic set:
-// convergence after a fixed epoch budget, host-side throughput, and the
-// schedule properties the paper argues about (NOMAD's message volume,
-// DSGD's barriers, FPSGD's block locking).
+// one problem — serial, Hogwild, FPSGD and CuMF-style batched — plus
+// HCC-MF.  Functional comparison on a scaled synthetic set: convergence
+// after a fixed epoch budget, host-side throughput, and the schedule
+// properties the paper argues about (Hogwild's lossy races, FPSGD's block
+// locking).
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/hccmf.hpp"
 #include "mf/batched.hpp"
-#include "mf/dsgd.hpp"
 #include "mf/fpsgd.hpp"
 #include "mf/hogwild.hpp"
 #include "mf/metrics.hpp"
-#include "mf/nomad.hpp"
 #include "util/clock.hpp"
 #include "util/table.hpp"
 
@@ -42,8 +40,6 @@ int main(int argc, char** argv) {
   trainers.push_back(std::make_unique<mf::HogwildTrainer>(config, pool));
   trainers.push_back(std::make_unique<mf::FpsgdTrainer>(config, 3));
   trainers.push_back(std::make_unique<mf::BatchedTrainer>(config, pool, 8));
-  trainers.push_back(std::make_unique<mf::DsgdTrainer>(config, pool, 3));
-  trainers.push_back(std::make_unique<mf::NomadTrainer>(config, 3));
 
   util::Table table({"schedule", "final RMSE", "host Mupdates/s", "notes"});
   for (auto& trainer : trainers) {
@@ -57,13 +53,7 @@ int main(int argc, char** argv) {
     const double rate = static_cast<double>(train.nnz()) * config.epochs /
                         seconds / 1e6;
     std::string notes;
-    if (trainer->name() == "nomad") {
-      auto* nomad = static_cast<mf::NomadTrainer*>(trainer.get());
-      notes = std::to_string(nomad->last_epoch_messages()) +
-              " token msgs/epoch";
-    } else if (trainer->name() == "dsgd") {
-      notes = "barrier per stratum";
-    } else if (trainer->name() == "fpsgd") {
+    if (trainer->name() == "fpsgd") {
       notes = "free-block scheduler";
     } else if (trainer->name() == "hogwild") {
       notes = "lock-free, lossy";
@@ -95,8 +85,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\nshape: every schedule lands in the same RMSE regime; the "
-               "differences the paper argues about are communication "
-               "volume (NOMAD), barriers (DSGD) and heterogeneity "
+               "differences the paper argues about are synchronization "
+               "(Hogwild's races, FPSGD's block locks) and heterogeneity "
                "awareness (only HCC-MF partitions by device speed)\n";
   return 0;
 }

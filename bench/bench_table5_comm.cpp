@@ -18,7 +18,6 @@
 #include "comm/session.hpp"
 #include "core/hccmf.hpp"
 #include "obs/metrics.hpp"
-#include "simd/dispatch.hpp"
 #include "util/clock.hpp"
 #include "util/table.hpp"
 
@@ -33,7 +32,7 @@ double comm_time(const std::string& dataset, const sim::DatasetShape& shape,
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = dataset;
   config.comm.reduce_payload = reduce;
-  config.comm.fp16 = fp16;
+  config.comm.codec = fp16 ? comm::CodecKind::kFp16 : comm::CodecKind::kFp32;
   config.comm.backend = backend;
   return core::HccMf(config).simulate(shape).comm_virtual_s;
 }
@@ -42,9 +41,6 @@ double comm_time(const std::string& dataset, const sim::DatasetShape& shape,
 
 int main(int argc, char** argv) {
   bench::JsonReport json_out(argc, argv, "table5_comm");
-  json_out.meta("host_cpus",
-                static_cast<double>(std::thread::hardware_concurrency()));
-  json_out.meta("isa", simd::kernels().name);
   bench::banner("Table 5: communication time of 20 epochs",
                 "paper Table 5; COMM vs COMM-P x {P&Q, Q, half-Q}");
 

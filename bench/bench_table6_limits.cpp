@@ -30,7 +30,7 @@ std::vector<WorkerRow> run(const sim::PlatformSpec& platform,
   comm.streams = 4;
   // The paper's Table 6 pull/push magnitudes correspond to FP32 transfers
   // (~67 MB of Q at PCIe rates); match that configuration.
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   core::DataManager manager(platform, shape, comm);
   const core::Plan plan = manager.plan(core::PartitionStrategy::kAuto);
 

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   config.fault.checkpoint_dir = cli.get("checkpoint-dir", std::string());
   // Wire codec: fp16 (default), or the error-feedback int8/2bit quantizers
   // (2bit compresses the node push stream only; pulls ride fp16).
-  const std::string codec_name = cli.get("codec", std::string("auto"));
+  const std::string codec_name = cli.get("codec", std::string("fp16"));
   if (!comm::parse_codec_kind(codec_name, config.comm.codec)) {
     std::cerr << "unknown --codec '" << codec_name
               << "' (expected fp32, fp16, int8 or 2bit)\n";

@@ -31,18 +31,20 @@ int main(int argc, char** argv) {
   struct Variant {
     std::string label;
     bool reduce;
-    bool fp16;
+    comm::CodecKind codec;
     std::uint32_t streams;
     comm::BackendKind backend;
   };
+  constexpr comm::CodecKind kFp32 = comm::CodecKind::kFp32;
+  constexpr comm::CodecKind kFp16 = comm::CodecKind::kFp16;
   const std::vector<Variant> variants = {
-      {"P&Q fp32 (no optimization)", false, false, 1, comm::BackendKind::kShm},
-      {"Q-only (Strategy 1)", true, false, 1, comm::BackendKind::kShm},
-      {"half-Q (Strategies 1+2)", true, true, 1, comm::BackendKind::kShm},
-      {"half-Q + 4 streams (1+2+3)", true, true, 4, comm::BackendKind::kShm},
-      {"P&Q over COMM-P (ps-lite)", false, false, 1,
+      {"P&Q fp32 (no optimization)", false, kFp32, 1, comm::BackendKind::kShm},
+      {"Q-only (Strategy 1)", true, kFp32, 1, comm::BackendKind::kShm},
+      {"half-Q (Strategies 1+2)", true, kFp16, 1, comm::BackendKind::kShm},
+      {"half-Q + 4 streams (1+2+3)", true, kFp16, 4, comm::BackendKind::kShm},
+      {"P&Q over COMM-P (ps-lite)", false, kFp32, 1,
        comm::BackendKind::kBroker},
-      {"half-Q over COMM-P", true, true, 1, comm::BackendKind::kBroker},
+      {"half-Q over COMM-P", true, kFp16, 1, comm::BackendKind::kBroker},
   };
 
   const std::uint32_t epochs =
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
     config.platform = sim::paper_workstation_hetero();
     config.dataset_name = spec.name;
     config.comm.reduce_payload = v.reduce;
-    config.comm.fp16 = v.fp16;
+    config.comm.codec = v.codec;
     config.comm.streams = v.streams;
     config.comm.backend = v.backend;
     const core::TrainReport report = core::HccMf(config).simulate(shape);

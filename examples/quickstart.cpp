@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
 
   // Wire codec (docs/observability.md): fp16 is the paper's Strategy 2;
   // int8 / 2bit are the error-feedback quantizers layered on top of it.
-  const std::string codec_name = cli.get("codec", std::string("auto"));
+  const std::string codec_name = cli.get("codec", std::string("fp16"));
   if (!comm::parse_codec_kind(codec_name, config.comm.codec)) {
     std::cerr << "unknown --codec '" << codec_name
               << "' (expected fp32, fp16, int8 or 2bit)\n";
@@ -215,8 +215,7 @@ int main(int argc, char** argv) {
     const double wire =
         static_cast<double>(reg.counter("comm.codec.wire_bytes").value());
     if (wire > 0.0) {
-      std::cout << "codec (" << comm::codec_kind_name(
-                       comm::effective_codec(config.comm))
+      std::cout << "codec (" << comm::codec_kind_name(config.comm.codec)
                 << "): " << util::Table::num(raw / 1e6, 2) << " MB raw -> "
                 << util::Table::num(wire / 1e6, 2) << " MB encoded ("
                 << util::Table::num(raw / wire, 2) << "x compression)\n";

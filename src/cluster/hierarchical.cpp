@@ -70,7 +70,7 @@ GlobalEpochTiming HierarchicalHcc::time_global_epoch(
   // Level 2: global Q exchange over the network (links are parallel, so
   // the per-node transfer time is the exposed one) ...
   const std::uint64_t q_elements = shape.n * shape.k;
-  const comm::CodecKind kind = comm::effective_codec(config_.comm);
+  const comm::CodecKind kind = config_.comm.codec;
   // One Q pull plus one Q push per node; the directions may ride different
   // codecs (2-bit compresses only the push stream).
   double wire =

@@ -32,9 +32,8 @@
 namespace hcc::cluster {
 
 /// Configuration of a hierarchical run: the shared TrainingOptions plus the
-/// cluster fields.  `comm` is used at both levels (FP16 etc.);
-/// `host_threads` are the functional ASGD threads per node.  `exec` runs
-/// the global epoch: kSerial runs the nodes' pull/train on one thread,
+/// cluster fields.  `comm` is used at both levels (codec etc.).  `exec`
+/// runs the global epoch: kSerial runs the nodes' pull/train on one thread,
 /// kParallel each node's on its own thread — the closest functional
 /// analogue of real cluster nodes; either way the global server merges the
 /// pushes in node order on one thread.

@@ -100,7 +100,6 @@ class CommBackend {
   /// Off by default so the wire format is unchanged unless fault tolerance
   /// asks.  Sessions always checksum their frames.
   void set_checksum_enabled(bool enabled) noexcept { checksum_ = enabled; }
-  bool checksum_enabled() const noexcept { return checksum_; }
 
   /// Installs (or clears, with nullptr) the in-flight wire tap.
   void set_wire_tap(WireTap tap) { tap_ = std::move(tap); }

@@ -53,7 +53,6 @@ obs::Counter& raw_bytes_counter() {
 
 const char* codec_kind_name(CodecKind kind) noexcept {
   switch (kind) {
-    case CodecKind::kAuto: return "auto";
     case CodecKind::kFp32: return "fp32";
     case CodecKind::kFp16: return "fp16";
     case CodecKind::kInt8: return "int8";
@@ -64,7 +63,7 @@ const char* codec_kind_name(CodecKind kind) noexcept {
 
 bool parse_codec_kind(std::string_view name, CodecKind& out) noexcept {
   for (const CodecKind kind :
-       {CodecKind::kAuto, CodecKind::kFp32, CodecKind::kFp16, CodecKind::kInt8,
+       {CodecKind::kFp32, CodecKind::kFp16, CodecKind::kInt8,
         CodecKind::kTwoBit}) {
     if (name == codec_kind_name(kind)) {
       out = kind;

@@ -40,20 +40,19 @@
 
 namespace hcc::comm {
 
-/// The wire-codec family (CommConfig::codec).  kAuto defers to the legacy
-/// CommConfig::fp16 flag, keeping old configs bit-identical.
+/// The wire-codec family (CommConfig::codec).  The values start at 1 and
+/// stay fixed: parameterized test names print them.
 enum class CodecKind {
-  kAuto,
-  kFp32,
+  kFp32 = 1,
   kFp16,
   kInt8,    ///< error-feedback int8, per-row absmax scales (~4x)
   kTwoBit,  ///< error-feedback {-t, 0, +t} threshold codes (~16x)
 };
 
-/// Stable lower-case name ("auto", "fp32", "fp16", "int8", "2bit").
+/// Stable lower-case name ("fp32", "fp16", "int8", "2bit").
 const char* codec_kind_name(CodecKind kind) noexcept;
 
-/// Parses a codec_kind_name (kAuto is spelled "auto"); false on no match.
+/// Parses a codec_kind_name; false on no match.
 bool parse_codec_kind(std::string_view name, CodecKind& out) noexcept;
 
 /// Encodes/decodes a float array to/from wire bytes.  The public

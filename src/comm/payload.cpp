@@ -10,7 +10,6 @@ double wire_bytes(std::uint64_t elements, CodecKind kind,
   const std::uint64_t blocks = (elements + row - 1) / row;
   const std::uint64_t rem = elements % row;
   switch (kind) {
-    case CodecKind::kAuto:
     case CodecKind::kFp32:
       return static_cast<double>(elements) * 4.0;
     case CodecKind::kFp16:
@@ -62,12 +61,12 @@ double expected_touched_fraction(double assigned_nnz, double n) {
 }
 
 double total_wire_bytes(const sim::DatasetShape& shape, PayloadMode mode,
-                        bool fp16, std::uint32_t epochs) {
+                        CodecKind kind, std::uint32_t epochs) {
   double total = 0.0;
   for (std::uint32_t e = 0; e < epochs; ++e) {
     const bool last = (e + 1 == epochs);
-    total += wire_bytes(pull_elements(shape, mode), fp16);
-    total += wire_bytes(push_elements(shape, mode, last), fp16);
+    total += wire_bytes(pull_elements(shape, mode), kind, shape.k);
+    total += wire_bytes(push_elements(shape, mode, last), kind, shape.k);
   }
   return total;
 }

@@ -36,23 +36,19 @@ std::uint64_t pull_elements(const sim::DatasetShape& shape, PayloadMode mode);
 std::uint64_t push_elements(const sim::DatasetShape& shape, PayloadMode mode,
                             bool last_epoch);
 
-/// Wire bytes for `elements` floats under the active codec.
-inline double wire_bytes(std::uint64_t elements, bool fp16) {
-  return static_cast<double>(elements) * (fp16 ? 2.0 : 4.0);
-}
-
-/// Codec-kind-aware overload for the Eq. 1-5 cost terms.  The quantized
-/// codecs add a 4-byte scale per `row_elems` block; their occasional
-/// keyframes are ignored (steady-state bytes dominate a multi-epoch run).
-/// kAuto is resolved by the caller (see comm::effective_codec).
+/// Wire bytes for `elements` floats under codec `kind`, for the Eq. 1-5
+/// cost terms.  The quantized codecs add a 4-byte scale per `row_elems`
+/// block; their occasional keyframes are ignored (steady-state bytes
+/// dominate a multi-epoch run).
 double wire_bytes(std::uint64_t elements, CodecKind kind,
                   std::uint32_t row_elems);
 
 /// Total wire bytes one worker moves (pull + push) across a whole training
-/// run of `epochs` epochs.  This is the quantity whose ratio gives the
-/// paper's theoretical speedups in Table 5 (e.g. ~19x for Netflix Q-only).
+/// run of `epochs` epochs under codec `kind` (one scale block per factor
+/// row).  This is the quantity whose ratio gives the paper's theoretical
+/// speedups in Table 5 (e.g. ~19x for Netflix Q-only).
 double total_wire_bytes(const sim::DatasetShape& shape, PayloadMode mode,
-                        bool fp16, std::uint32_t epochs);
+                        CodecKind kind, std::uint32_t epochs);
 
 /// Expected fraction of the n items a worker's slice touches, given it
 /// holds `assigned_nnz` ratings spread over `n` items — the balls-in-bins

@@ -201,11 +201,6 @@ std::unique_ptr<Codec> StreamPipeline::build_codec(
   return inner;
 }
 
-std::string StreamPipeline::codec_name() {
-  if (!codecs_.empty()) return codecs_.front()->name();
-  return build_codec(0)->name();
-}
-
 void StreamPipeline::ensure_pipeline_metrics() {
   if (chunks_counter_ != nullptr) return;
   auto& reg = obs::registry();

@@ -37,7 +37,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,9 +102,6 @@ class StreamPipeline {
   void set_sparse_rows(std::span<const std::uint32_t> rows) noexcept {
     sparse_rows_ = rows;
   }
-
-  /// Wire codec label for logs/summaries ("int8", "sparse+int8", ...).
-  std::string codec_name();
 
   /// Moves src into dst through `backend`'s chunk API, overlapping
   /// encode / wire / commit when the transfer has several chunks.

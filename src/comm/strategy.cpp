@@ -17,14 +17,9 @@ std::uint32_t effective_streams(const CommConfig& config,
   return std::max(1u, std::min(config.streams, device.copy_streams));
 }
 
-CodecKind effective_codec(const CommConfig& config) {
-  if (config.codec != CodecKind::kAuto) return config.codec;
-  return config.fp16 ? CodecKind::kFp16 : CodecKind::kFp32;
-}
-
 CodecKind pull_codec_kind(const CommConfig& config) {
-  const CodecKind kind = effective_codec(config);
-  return kind == CodecKind::kTwoBit ? CodecKind::kFp16 : kind;
+  return config.codec == CodecKind::kTwoBit ? CodecKind::kFp16
+                                            : config.codec;
 }
 
 sim::CommPlan make_comm_plan(const CommConfig& config,
@@ -32,7 +27,7 @@ sim::CommPlan make_comm_plan(const CommConfig& config,
                              const sim::DeviceSpec& device, bool last_epoch,
                              double share) {
   const PayloadMode mode = effective_mode(config, shape);
-  const CodecKind kind = effective_codec(config);
+  const CodecKind kind = config.codec;
   sim::CommPlan plan;
   // Pull and push may ride different codecs (2-bit is push-only).
   plan.pull_bytes = wire_bytes(pull_elements(shape, mode),
@@ -88,14 +83,13 @@ sim::CommPlan make_comm_plan(const CommConfig& config,
 
 std::unique_ptr<Codec> make_codec(const CommConfig& config,
                                   std::size_t row_elems) {
-  switch (effective_codec(config)) {
+  switch (config.codec) {
     case CodecKind::kFp16:
       return std::make_unique<Fp16Codec>(config.codec_threads);
     case CodecKind::kInt8:
       return std::make_unique<Int8Codec>(row_elems, config.codec_threads);
     case CodecKind::kTwoBit:
       return std::make_unique<TwoBitCodec>(row_elems, config.codec_threads);
-    case CodecKind::kAuto:
     case CodecKind::kFp32:
       break;
   }
@@ -111,15 +105,11 @@ std::unique_ptr<Codec> make_pull_codec(const CommConfig& config,
 
 std::unique_ptr<CommBackend> make_backend(const CommConfig& config,
                                           std::uint32_t worker) {
-  std::unique_ptr<CommBackend> backend;
   if (config.transport.kind == TransportKind::kInProcess) {
-    backend = std::make_unique<ShmComm>();
-  } else {
-    backend = std::make_unique<SessionComm>(
-        make_transport(config.transport, worker), config.transport, worker);
+    return std::make_unique<ShmComm>();
   }
-  backend->set_checksum_enabled(config.checksum);
-  return backend;
+  return std::make_unique<SessionComm>(
+      make_transport(config.transport, worker), config.transport, worker);
 }
 
 }  // namespace hcc::comm

@@ -26,12 +26,10 @@ enum class BackendKind { kShm, kBroker };
 /// User-facing communication configuration.
 struct CommConfig {
   bool reduce_payload = true;  ///< Strategy 1: Q-only / P-only
-  bool fp16 = true;            ///< Strategy 2: binary16 wire encoding
-  /// Wire codec selector.  kAuto (the default) defers to the legacy `fp16`
-  /// flag above, keeping existing configs bit-identical; kInt8/kTwoBit pick
-  /// the error-feedback sub-FP16 codecs (see comm/codec.hpp) — each worker
-  /// then owns stateful per-direction codec instances.
-  CodecKind codec = CodecKind::kAuto;
+  /// Strategy 2's wire encoding: kFp16 (the default) or kFp32, or one of
+  /// the error-feedback sub-FP16 codecs kInt8/kTwoBit (see comm/codec.hpp),
+  /// for which each worker owns stateful per-direction codec instances.
+  CodecKind codec = CodecKind::kFp16;
   std::uint32_t codec_threads = 0;  ///< Strategy 2's "multi-threaded" AVX
                                     ///< conversion: >= 2 gives the codec an
                                     ///< internal pool that slices large
@@ -43,11 +41,6 @@ struct CommConfig {
                                ///< attacks the dimension-bound cost the
                                ///< paper's Section 4.6 identifies.  Adds a
                                ///< 4-byte row index per transmitted row.
-  bool checksum = false;       ///< Fault-tolerance extension: out-of-band
-                               ///< payload checksum per in-process chunk
-                               ///< (8 wire bytes); a corrupt chunk throws
-                               ///< ChecksumError.  Enabled by HccMf when a
-                               ///< fault plan / checkpoint dir is active.
   /// Chunked-streaming extension: how many row-aligned chunks of one P/Q
   /// transfer may be in flight at once (comm/pipeline.hpp).  Depth 1 (the
   /// default) sends each transfer as one chunk through one codec; depth > 1
@@ -81,10 +74,6 @@ struct CommConfig {
 /// Payload mode after applying (or not applying) Strategy 1.
 PayloadMode effective_mode(const CommConfig& config,
                            const sim::DatasetShape& shape);
-
-/// Resolves CommConfig::codec, mapping kAuto onto the legacy fp16 flag.
-/// Never returns kAuto.
-CodecKind effective_codec(const CommConfig& config);
 
 /// The codec kind the *pull* direction (server -> worker parameter
 /// broadcast) actually uses.  Ternary compression is an update codec: on
@@ -122,7 +111,8 @@ std::unique_ptr<Codec> make_pull_codec(const CommConfig& config,
 
 /// The link for one worker: ShmComm for TransportKind::kInProcess, else a
 /// SessionComm over that worker's transport (the chaos schedule is
-/// addressed by worker id).  config.checksum arms ShmComm's checksum.
+/// addressed by worker id).  The out-of-band checksum starts disarmed;
+/// TrainWorker::set_fault_runtime arms it when a fault runtime is active.
 std::unique_ptr<CommBackend> make_backend(const CommConfig& config,
                                           std::uint32_t worker = 0);
 

@@ -70,7 +70,6 @@ class DataManager {
 
   const sim::PlatformSpec& platform() const noexcept { return platform_; }
   const sim::DatasetShape& shape() const noexcept { return shape_; }
-  const comm::CommConfig& comm_config() const noexcept { return comm_; }
 
  private:
   /// Profiles one epoch at `shares` and returns per-worker compute seconds

@@ -309,8 +309,7 @@ void EpochExecutor::run_phase(const std::vector<bool>& alive,
 
 void EpochExecutor::run_epoch(std::vector<TrainWorker>& workers,
                               const std::vector<bool>& alive, Server& server,
-                              float lr, float reg_p, float reg_q,
-                              util::ThreadPool* pool) {
+                              float lr, float reg_p, float reg_q) {
   std::uint32_t max_streams = 1;
   for (const auto& w : workers) max_streams = std::max(max_streams, w.streams());
   std::vector<bool> active(workers.size());
@@ -325,7 +324,7 @@ void EpochExecutor::run_epoch(std::vector<TrainWorker>& workers,
     run_phase(active, [&](std::size_t i) {
       if (chunk == 0) workers[i].prepare_epoch();
       workers[i].pull(server);
-      workers[i].compute_chunk(server, chunk, lr, reg_p, reg_q, pool);
+      workers[i].compute_chunk(server, chunk, lr, reg_p, reg_q);
     });
     // The merges, in worker order on this thread: kSerial's arithmetic
     // order for every Q element, whatever ran the phase.

@@ -32,10 +32,6 @@
 #include <thread>
 #include <vector>
 
-namespace hcc::util {
-class ThreadPool;
-}
-
 namespace hcc::core {
 
 class Server;
@@ -47,9 +43,9 @@ enum class ExecMode : std::uint8_t {
   kParallel,  ///< every phase on one thread per worker
 };
 
-/// Everything configurable about the executor.  Without a per-worker
-/// thread pool both modes compute the same floats on the same grid; they
-/// differ in thread count and, in the training loop, in the grid itself
+/// Everything configurable about the executor.  Both modes compute the
+/// same floats on the same grid; they differ in thread count and, in the
+/// training loop, in the grid itself
 /// (kSerial grids by the plan shares, kParallel by the probed host rates —
 /// see TrainingLoop).
 struct ExecOptions {
@@ -90,7 +86,7 @@ class EpochExecutor {
   /// at once, leaving the later workers' pushes of that phase unmerged.
   void run_epoch(std::vector<TrainWorker>& workers,
                  const std::vector<bool>& alive, Server& server, float lr,
-                 float reg_p, float reg_q, util::ThreadPool* pool);
+                 float reg_p, float reg_q);
 
   /// The host-rate probe behind the kParallel grid (host_shares() in
   /// core/partition.hpp).  Every thread i with `kept[i]`, all at once,

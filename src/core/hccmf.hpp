@@ -34,7 +34,7 @@
 namespace hcc::core {
 
 /// Everything configurable about a run: the shared TrainingOptions (sgd,
-/// comm, host_threads, exec, schedule, fault) plus the node-level fields.
+/// comm, exec, schedule, fault) plus the node-level fields.
 struct HccMfConfig : TrainingOptions {
   PartitionStrategy partition = PartitionStrategy::kAuto;
   sim::PlatformSpec platform;

@@ -17,20 +17,6 @@ Server::Server(mf::FactorModel global, const comm::CommConfig& config)
 }
 
 void Server::sync_q(std::span<const float> pushed,
-                    std::span<const float> snapshot, float weight) {
-  obs::ScopedSpan span("sync", obs::kPhaseCategory, kServerTrack);
-  std::span<float> q = global_.q_data();
-  assert(pushed.size() == q.size() && snapshot.size() == q.size());
-  // Eq. 3's three read/write memory operations and one multiply-add per
-  // feature parameter.
-  for (std::size_t j = 0; j < q.size(); ++j) {
-    q[j] += weight * (pushed[j] - snapshot[j]);
-  }
-  ++sync_count_;
-  measured_sync_s_ += span.stop();
-}
-
-void Server::sync_q(std::span<const float> pushed,
                     std::span<const float> snapshot,
                     std::span<const float> item_weights) {
   obs::ScopedSpan span("sync", obs::kPhaseCategory, kServerTrack);
@@ -38,6 +24,8 @@ void Server::sync_q(std::span<const float> pushed,
   assert(pushed.size() == q.size() && snapshot.size() == q.size());
   const std::uint32_t k = global_.k();
   assert(item_weights.size() * k == q.size());
+  // Eq. 3's three read/write memory operations and one multiply-add per
+  // feature parameter.
   for (std::size_t item = 0; item < item_weights.size(); ++item) {
     const float w = item_weights[item];
     if (w == 0.0f) continue;

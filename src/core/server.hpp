@@ -32,30 +32,19 @@ class Server {
   mf::FactorModel& model() noexcept { return global_; }
   const mf::FactorModel& model() const noexcept { return global_; }
 
-  /// The server-side codec (the final P&Q roundtrip and legacy callers).
-  /// Non-const: sub-FP16 codecs mutate stream state on every transfer.
-  comm::Codec& codec() noexcept { return *codec_; }
-
   /// Merges one worker's pushed Q into the global Q with one multiply-add
-  /// per feature parameter (Eq. 3's sync cost):
-  ///   global[j] += weight * (pushed[j] - snapshot[j])
-  /// where `snapshot` is the Q state that worker received at its pull and
-  /// `weight` is the worker's data share x_i.  Share-weighting makes the
-  /// merged Q a convex combination of the workers' results, which resolves
-  /// the write-after-write races between workers that trained the same Q
-  /// rows concurrently (the reason the paper keeps a synchronizing server)
-  /// without over-applying popular rows' gradients p-fold.
-  void sync_q(std::span<const float> pushed, std::span<const float> snapshot,
-              float weight = 1.0f);
-
-  /// Merge with per-item weights (one weight per Q row, i.e. per item):
+  /// per feature parameter (Eq. 3's sync cost), one weight per Q row:
   ///   global[item][f] += item_weights[item] * (pushed - snapshot)[item][f]
-  /// The DataManager derives each worker's item weight from its share of
+  /// where `snapshot` is the Q state that worker received at its pull.
+  /// The training loop derives each worker's item weight from its share of
   /// that item's ratings, so an item rated only inside one worker's row
   /// slice merges at weight 1 (exactly the serial update), while items
-  /// contested by several workers combine proportionally to their data.
-  /// Still Eq. 3's one multiply-add per parameter — the weights are
-  /// precomputed once per training run (the grid is static).
+  /// contested by several workers combine proportionally to their data: a
+  /// convex combination of the workers' results, which resolves the
+  /// write-after-write races between workers that trained the same Q rows
+  /// concurrently (the reason the paper keeps a synchronizing server)
+  /// without over-applying popular rows' gradients p-fold.  Zero-weight
+  /// rows are skipped.
   void sync_q(std::span<const float> pushed, std::span<const float> snapshot,
               std::span<const float> item_weights);
 

@@ -161,7 +161,7 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
       // guard.  The copy happens outside the phase spans.
       checkpointing_(fault_rt_.active() || options_.fault.divergence_guard),
       p_roundtrip_each_epoch_(
-          comm::effective_codec(options_.comm) != comm::CodecKind::kFp32 &&
+          options_.comm.codec != comm::CodecKind::kFp32 &&
           comm::effective_mode(options_.comm, shape) == comm::PayloadMode::kPQ),
       alive_(specs_.size(), true),
       live_shares_(std::move(shares)),
@@ -206,9 +206,6 @@ TrainingLoop::TrainingLoop(TrainingOptions options,
 
   build_workers(std::move(slices));
   refresh_item_weights();
-  if (options_.host_threads > 0) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.host_threads);
-  }
 
   auto& reg = obs::registry();
   for (std::size_t w = 0; w < live_shares_.size(); ++w) {
@@ -305,7 +302,7 @@ void TrainingLoop::run(const Hooks& hooks) {
       // in a phase is rethrown here, after the phase barrier, in either
       // mode, so both share the recovery paths below.
       executor_->run_epoch(workers_, alive_, *server_, lr_, sgd.reg_p,
-                           sgd.reg_q, pool_.get());
+                           sgd.reg_q);
       if (p_roundtrip_each_epoch_) server_->roundtrip_p_through_codec();
       lr_ *= sgd.lr_decay;
       // Schedule observability, aggregated on this thread after the
@@ -329,7 +326,7 @@ void TrainingLoop::run(const Hooks& hooks) {
     }
   }
   // The final push transmits P as well (Strategy 1's closing P&Q push).
-  if (comm::effective_codec(options_.comm) != comm::CodecKind::kFp32 &&
+  if (options_.comm.codec != comm::CodecKind::kFp32 &&
       !p_roundtrip_each_epoch_) {
     server_->roundtrip_p_through_codec();
   }

@@ -36,7 +36,6 @@
 #include "mf/model.hpp"
 #include "obs/span.hpp"
 #include "sim/perf_model.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hcc::core {
 
@@ -78,11 +77,10 @@ void throw_if_invalid(const std::vector<ConfigError>& errors,
 struct TrainingOptions {
   mf::SgdConfig sgd;
   comm::CommConfig comm;
-  /// Host threads for each worker's ASGD (0 = single-threaded).
-  std::uint32_t host_threads = 0;
   /// How an epoch executes across the workers (core/epoch_executor.hpp):
   /// kSerial (default) runs every phase on the caller's thread, kParallel
-  /// on one thread per worker; both merge in worker order.
+  /// on one thread per worker; both merge in worker order, and each
+  /// worker's SGD runs single-threaded on its phase thread.
   ExecOptions exec;
   /// Cache-aware visit order for each worker's slice (data/schedule.hpp);
   /// kAsIs (default) never touches the slice.
@@ -215,7 +213,6 @@ class TrainingLoop {
   std::vector<double> live_shares_;
   std::vector<double> probe_gbps_;
   std::vector<std::uint32_t> dead_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<EpochExecutor> executor_;
   float lr_ = 0.0f;
   double reorder_ms_ = 0.0;  ///< schedule reorder cost, whole run

@@ -10,7 +10,7 @@ namespace hcc::core {
 std::string TuneResult::summary() const {
   std::ostringstream os;
   os << "payload=" << (best.comm.reduce_payload ? "reduced" : "P&Q")
-     << " fp16=" << (best.comm.fp16 ? "on" : "off")
+     << " codec=" << comm::codec_kind_name(best.comm.codec)
      << " streams=" << best.comm.streams
      << " prune=" << (best.prune ? "on" : "off")
      << " strategy=" << partition_strategy_name(best.chosen)
@@ -23,12 +23,13 @@ TuneResult tune_comm(const sim::PlatformSpec& platform,
                      const DataManagerOptions& options) {
   TuneResult result;
   for (const bool reduce : {true, false}) {
-    for (const bool fp16 : {true, false}) {
+    for (const comm::CodecKind codec :
+         {comm::CodecKind::kFp16, comm::CodecKind::kFp32}) {
       for (const std::uint32_t streams : {1u, 2u, 4u}) {
         for (const bool prune : {false, true}) {
           comm::CommConfig comm;
           comm.reduce_payload = reduce;
-          comm.fp16 = fp16;
+          comm.codec = codec;
           comm.streams = streams;
 
           DataManagerOptions opts = options;

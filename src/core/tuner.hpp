@@ -33,9 +33,9 @@ struct TuneResult {
   std::string summary() const;
 };
 
-/// Sweeps {payload reduction} x {FP16} x {streams 1/2/4} x {pruning} under
-/// the auto partition strategy and returns the configuration with the
-/// smallest simulated epoch time.  Deterministic.
+/// Sweeps {payload reduction} x {codec fp16/fp32} x {streams 1/2/4} x
+/// {pruning} under the auto partition strategy and returns the
+/// configuration with the smallest simulated epoch time.  Deterministic.
 TuneResult tune_comm(const sim::PlatformSpec& platform,
                      const sim::DatasetShape& shape,
                      const DataManagerOptions& options = {});

@@ -178,6 +178,9 @@ void TrainWorker::ensure_buffers(Server& server) {
     snapshot_q_.assign(q_size, 0.0f);
     push_staging_.assign(q_size, 0.0f);
   }
+  if (item_weights_.empty()) {
+    item_weights_.assign(server.model().items(), 1.0f);
+  }
   if (sparse_) {
     // Sized once from the touched set (re-sized only after absorb_entries
     // grows it); the gather/scatter hot paths assert instead of resizing.
@@ -225,8 +228,7 @@ void TrainWorker::pull(Server& server) {
 }
 
 void TrainWorker::compute_chunk(Server& server, std::uint32_t chunk, float lr,
-                                float reg_p, float reg_q,
-                                util::ThreadPool* pool) {
+                                float reg_p, float reg_q) {
   assert(chunk < streams_);
   assert(!local_q_.empty() && "pull() must precede compute_chunk()");
   if (fault_ != nullptr) fault_->injector().check_phase(id_);
@@ -242,9 +244,9 @@ void TrainWorker::compute_chunk(Server& server, std::uint32_t chunk, float lr,
   // Hint a few updates ahead: far enough that the lines arrive before the
   // demand load, near enough that they are not evicted again first.
   constexpr std::size_t kPrefetchAhead = 4;
-  auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      if (idx + kPrefetchAhead < end) {
+  for (std::uint32_t pass = 0; pass < passes_; ++pass) {
+    for (std::size_t idx = lo; idx < hi; ++idx) {
+      if (idx + kPrefetchAhead < hi) {
         const auto& f = entries[idx + kPrefetchAhead];
         mf::sgd_prefetch_rows(model.p(f.u), &local_q_[std::size_t(f.i) * k],
                               k);
@@ -254,13 +256,6 @@ void TrainWorker::compute_chunk(Server& server, std::uint32_t chunk, float lr,
       // Q row: private local copy, merged at push.
       mf::sgd_update_dispatch(model.p(e.u), &local_q_[std::size_t(e.i) * k],
                               k, e.r, lr, reg_p, reg_q);
-    }
-  };
-  for (std::uint32_t pass = 0; pass < passes_; ++pass) {
-    if (pool != nullptr) {
-      pool->parallel_for(lo, hi, body);
-    } else {
-      body(lo, hi);
     }
   }
   counter_updates_->add((hi - lo) * passes_);
@@ -308,12 +303,7 @@ void TrainWorker::push(Server& server) {
   // The server-side merge is the paper's T_sync term — timed separately
   // and attributed to this worker (the server records its own span).
   util::Stopwatch sync_watch;
-  if (!item_weights_.empty()) {
-    server.sync_q(push_staging_, snapshot_q_,
-                  std::span<const float>(item_weights_));
-  } else {
-    server.sync_q(push_staging_, snapshot_q_, sync_weight_);
-  }
+  server.sync_q(push_staging_, snapshot_q_, item_weights_);
   record_phase(sync_watch.seconds(), &obs::PhaseTimes::sync_s, hist_sync_);
 }
 

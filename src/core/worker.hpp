@@ -27,12 +27,11 @@
 #include "fault/recovery.hpp"
 #include "obs/drift.hpp"
 #include "util/aligned.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hcc::core {
 
 /// One collaborative-computing worker (CPU or GPU role; the role only
-/// matters to the timing layer — functionally both run the same ASGD).
+/// matters to the timing layer — functionally both run the same SGD).
 class TrainWorker {
  public:
   /// `slice` holds this worker's ratings (global coordinates); `streams`
@@ -84,15 +83,15 @@ class TrainWorker {
   /// and snapshots it for the later delta merge.
   void pull(Server& server);
 
-  /// Runs ASGD over chunk `chunk` (of `streams` chunks) of the slice,
-  /// `passes` times: updates global P rows in place and the local Q copy.
-  /// `pool` provides the worker's thread pool (nullptr = single-threaded).
+  /// Runs SGD over chunk `chunk` (of `streams` chunks) of the slice,
+  /// `passes` times, on the calling thread: updates global P rows in place
+  /// and the local Q copy.
   void compute_chunk(Server& server, std::uint32_t chunk, float lr,
-                     float reg_p, float reg_q, util::ThreadPool* pool);
+                     float reg_p, float reg_q);
 
   /// Pushes the local Q through the COMM channel and has the server merge
-  /// the delta against this worker's pull snapshot, weighted by this
-  /// worker's data share (see Server::sync_q).
+  /// the delta against this worker's pull snapshot, weighted per item (see
+  /// set_item_weights and Server::sync_q).
   void push(Server& server);
 
   /// Arms the fault-tolerance hooks: scheduled kill/corrupt injection,
@@ -125,13 +124,9 @@ class TrainWorker {
   /// re-derive per-item merge weights afterwards.
   void absorb_entries(const std::vector<data::Rating>& entries);
 
-  /// Sets the sync merge weight (the worker's data share x_i; default 1).
-  void set_sync_weight(float weight) noexcept { sync_weight_ = weight; }
-  float sync_weight() const noexcept { return sync_weight_; }
-
   /// Sets per-item merge weights (this worker's fraction of each item's
-  /// ratings); takes precedence over the scalar weight.  See
-  /// Server::sync_q(pushed, snapshot, item_weights).
+  /// ratings; see Server::sync_q).  A worker given none merges every item
+  /// at weight 1.
   void set_item_weights(std::vector<float> weights) {
     item_weights_ = std::move(weights);
   }
@@ -143,17 +138,11 @@ class TrainWorker {
   /// transport; tests and reports read its protocol stats through this).
   const comm::CommBackend& backend() const noexcept { return *backend_; }
 
-  /// Wall-clock seconds this worker has spent in each phase since the last
-  /// take_measured() — the runtime-observed counterpart of the paper's
-  /// T_pull/T_c/T_push/T_sync decomposition.  pull/compute/push accumulate
-  /// inside the instrumented methods; sync is the server merge time this
-  /// worker's pushes consumed.
-  const obs::PhaseTimes& measured_phases() const noexcept {
-    return measured_;
-  }
-
-  /// Returns the accumulated phase times and resets them (one epoch's
-  /// harvest).
+  /// Returns the wall-clock seconds this worker has spent in each phase
+  /// since the last call, and resets them (one epoch's harvest) — the
+  /// runtime-observed counterpart of the paper's T_pull/T_c/T_push/T_sync
+  /// decomposition.  pull/compute/push accumulate inside the instrumented
+  /// methods; sync is the server merge time this worker's pushes consumed.
   obs::PhaseTimes take_measured() noexcept {
     obs::PhaseTimes out = measured_;
     measured_ = {};
@@ -162,7 +151,8 @@ class TrainWorker {
 
  private:
   /// Sizes every staging buffer for the current slice/mode once, so the
-  /// per-epoch pull/push paths never reallocate (they assert instead).
+  /// per-epoch pull/push paths never reallocate (they assert instead), and
+  /// defaults the item weights to 1 when none were set.
   void ensure_buffers(Server& server);
 
   /// Gathers this worker's touched Q rows into `packed`, or scatters them
@@ -207,7 +197,6 @@ class TrainWorker {
   bool sparse_ = false;
   std::uint32_t passes_ = 1;
   std::vector<std::uint32_t> touched_;  ///< items this slice rates (sparse)
-  float sync_weight_ = 1.0f;
   std::vector<float> item_weights_;
   fault::FaultRuntime* fault_ = nullptr;
   double stall_factor_ = 1.0;

@@ -45,7 +45,6 @@ class RatingMatrix {
   double density() const noexcept;
 
   std::span<const Rating> entries() const noexcept { return entries_; }
-  std::span<Rating> mutable_entries() noexcept { return entries_; }
 
   /// Appends one rating (bounds-checked with assert in debug builds).
   void add(std::uint32_t u, std::uint32_t i, float r);

@@ -73,7 +73,7 @@ HierarchicalConfig elastic_config(const data::DatasetSpec& spec,
   HierarchicalConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.cluster = workstation_cluster(nodes, ethernet_100g());
   config.dataset_name = spec.name;
   for (auto& node : config.cluster.nodes) {

@@ -116,7 +116,7 @@ TEST(Hierarchical, FunctionalTrainingConverges) {
   HierarchicalConfig config = base_config(3);
   config.sgd = mf::SgdConfig::for_dataset(0.02f, 0.01f, 16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.dataset_name = spec.name;
   for (auto& node : config.cluster.nodes) {
     for (auto& w : node.platform.workers) w.epoch_overhead_s = 0.0;
@@ -178,7 +178,7 @@ TEST(Hierarchical, LocalEpochsTradeQualityForComm) {
     config.sgd = mf::SgdConfig::for_dataset(0.02f, 0.01f, 16);
     config.sgd.epochs = global;
     config.local_epochs = local;
-    config.comm.fp16 = false;
+    config.comm.codec = comm::CodecKind::kFp32;
     config.dataset_name = spec.name;
     return HierarchicalHcc(config).train(train, &test).test_rmse.back();
   };
@@ -212,7 +212,7 @@ HierarchicalConfig functional_config(core::ExecMode mode) {
   HierarchicalConfig config = base_config(3);
   config.sgd = mf::SgdConfig::for_dataset(0.02f, 0.01f, 16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.dataset_name = "netflix@0.002";
   config.exec.mode = mode;
   for (auto& node : config.cluster.nodes) {

@@ -122,7 +122,7 @@ std::vector<float> roundtrip(Codec& codec, const std::vector<float>& src) {
 TEST(QuantizedCodec, NamesAndKindsParse) {
   EXPECT_EQ(Int8Codec().name(), "int8");
   EXPECT_EQ(TwoBitCodec().name(), "2bit");
-  CodecKind kind = CodecKind::kAuto;
+  CodecKind kind = CodecKind::kInt8;
   EXPECT_TRUE(parse_codec_kind("fp32", kind));
   EXPECT_EQ(kind, CodecKind::kFp32);
   EXPECT_TRUE(parse_codec_kind("fp16", kind));
@@ -131,9 +131,11 @@ TEST(QuantizedCodec, NamesAndKindsParse) {
   EXPECT_EQ(kind, CodecKind::kInt8);
   EXPECT_TRUE(parse_codec_kind("2bit", kind));
   EXPECT_EQ(kind, CodecKind::kTwoBit);
-  EXPECT_TRUE(parse_codec_kind("auto", kind));
-  EXPECT_EQ(kind, CodecKind::kAuto);
+  // fp16 is the default, not an "auto" resolution; a failed parse leaves
+  // the output alone.
+  EXPECT_FALSE(parse_codec_kind("auto", kind));
   EXPECT_FALSE(parse_codec_kind("mp3", kind));
+  EXPECT_EQ(kind, CodecKind::kTwoBit);
 }
 
 TEST(QuantizedCodec, FirstTransferIsALosslessKeyframe) {

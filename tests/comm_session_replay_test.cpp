@@ -191,7 +191,7 @@ core::HccMfConfig small_config(const data::DatasetSpec& spec) {
   core::HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 6;
-  config.comm.fp16 = false;
+  config.comm.codec = CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.platform.workers.resize(3);
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;

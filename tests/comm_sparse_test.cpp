@@ -32,7 +32,7 @@ TEST(SparsePlan, ShrinksBytesOnSparseAssignments) {
   // A worker holding few ratings relative to n transmits far less.
   const sim::DatasetShape shape{"", 8000000, 8000000, 100000000, 128};
   comm::CommConfig dense;
-  dense.fp16 = false;
+  dense.codec = comm::CodecKind::kFp32;
   comm::CommConfig sparse = dense;
   sparse.sparse = true;
 
@@ -58,7 +58,7 @@ TEST(SparsePlan, LastEpochStaysDense) {
   const sim::DatasetShape shape{"", 100000, 100000, 200000, 32};
   comm::CommConfig sparse;
   sparse.sparse = true;
-  sparse.fp16 = false;
+  sparse.codec = comm::CodecKind::kFp32;
   const auto dev = sim::rtx_2080s();
   const auto mid = comm::make_comm_plan(sparse, shape, dev, false, 0.5);
   const auto last = comm::make_comm_plan(sparse, shape, dev, true, 0.5);
@@ -68,7 +68,7 @@ TEST(SparsePlan, LastEpochStaysDense) {
 comm::CommConfig sparse_fp32() {
   comm::CommConfig c;
   c.sparse = true;
-  c.fp16 = false;
+  c.codec = comm::CodecKind::kFp32;
   return c;
 }
 
@@ -104,7 +104,7 @@ TEST(SparseWorker, UntouchedRowsNeverChange) {
   core::TrainWorker worker(0, "dev", std::move(slice), sparse_fp32());
   for (int e = 0; e < 5; ++e) {
     worker.pull(server);
-    worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f, nullptr);
+    worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f);
     worker.push(server);
   }
   const auto q_after = server.model().q_data();
@@ -132,7 +132,7 @@ TEST(SparseHccMf, ConvergesLikeDense) {
     core::HccMfConfig config;
     config.sgd = mf::SgdConfig::for_dataset(0.02f, 0.01f, 16);
     config.sgd.epochs = 8;
-    config.comm.fp16 = false;
+    config.comm.codec = comm::CodecKind::kFp32;
     config.comm.sparse = sparse;
     config.platform = sim::paper_workstation_hetero();
     for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;

@@ -53,8 +53,10 @@ TEST(Payload, TwentyEpochSpeedupNearTheoretical) {
   // ~19.4x (20(m+n)/(m+20n)); our accounting (pull+push, final P&Q push)
   // lands in the same regime.
   const auto shape = netflix_shape();
-  const double pq = total_wire_bytes(shape, PayloadMode::kPQ, false, 20);
-  const double q = total_wire_bytes(shape, PayloadMode::kQOnly, false, 20);
+  const double pq =
+      total_wire_bytes(shape, PayloadMode::kPQ, CodecKind::kFp32, 20);
+  const double q =
+      total_wire_bytes(shape, PayloadMode::kQOnly, CodecKind::kFp32, 20);
   const double speedup = pq / q;
   EXPECT_GT(speedup, 15.0);
   EXPECT_LT(speedup, 25.0);
@@ -62,8 +64,10 @@ TEST(Payload, TwentyEpochSpeedupNearTheoretical) {
 
 TEST(Payload, Fp16HalvesTotalBytes) {
   const auto shape = netflix_shape();
-  const double fp32 = total_wire_bytes(shape, PayloadMode::kQOnly, false, 20);
-  const double fp16 = total_wire_bytes(shape, PayloadMode::kQOnly, true, 20);
+  const double fp32 =
+      total_wire_bytes(shape, PayloadMode::kQOnly, CodecKind::kFp32, 20);
+  const double fp16 =
+      total_wire_bytes(shape, PayloadMode::kQOnly, CodecKind::kFp16, 20);
   EXPECT_NEAR(fp32 / fp16, 2.0, 1e-9);
 }
 
@@ -88,11 +92,12 @@ TEST(Strategy, StreamsCappedByCopyEngines) {
 TEST(Strategy, CommPlanBytesMatchPayloadAccounting) {
   CommConfig config;
   config.reduce_payload = true;
-  config.fp16 = false;
+  config.codec = CodecKind::kFp32;
   const auto shape = netflix_shape();
   const auto plan = make_comm_plan(config, shape, sim::rtx_2080(), false);
   EXPECT_DOUBLE_EQ(plan.pull_bytes,
-                   wire_bytes(pull_elements(shape, PayloadMode::kQOnly), false));
+                   wire_bytes(pull_elements(shape, PayloadMode::kQOnly),
+                              CodecKind::kFp32, shape.k));
   EXPECT_DOUBLE_EQ(plan.push_bytes, plan.pull_bytes);
   // Sync volume is FP32 elements regardless of wire codec.
   EXPECT_DOUBLE_EQ(plan.sync_bytes, plan.push_bytes);
@@ -100,9 +105,9 @@ TEST(Strategy, CommPlanBytesMatchPayloadAccounting) {
 
 TEST(Strategy, SyncBytesIndependentOfWireCodec) {
   CommConfig fp32_cfg;
-  fp32_cfg.fp16 = false;
+  fp32_cfg.codec = CodecKind::kFp32;
   CommConfig fp16_cfg;
-  fp16_cfg.fp16 = true;
+  fp16_cfg.codec = CodecKind::kFp16;
   const auto shape = netflix_shape();
   const auto plan32 = make_comm_plan(fp32_cfg, shape, sim::rtx_2080());
   const auto plan16 = make_comm_plan(fp16_cfg, shape, sim::rtx_2080());
@@ -112,7 +117,7 @@ TEST(Strategy, SyncBytesIndependentOfWireCodec) {
 
 TEST(Strategy, BrokerBackendSlashesBusEfficiency) {
   CommConfig shm_cfg;
-  shm_cfg.fp16 = false;
+  shm_cfg.codec = CodecKind::kFp32;
   CommConfig broker_cfg = shm_cfg;
   broker_cfg.backend = BackendKind::kBroker;
   const auto shape = netflix_shape();
@@ -124,9 +129,9 @@ TEST(Strategy, BrokerBackendSlashesBusEfficiency) {
 
 TEST(Strategy, Fp16BonusRaisesEfficiency) {
   CommConfig base;
-  base.fp16 = false;
+  base.codec = CodecKind::kFp32;
   CommConfig fp16_cfg;
-  fp16_cfg.fp16 = true;
+  fp16_cfg.codec = CodecKind::kFp16;
   const auto shape = netflix_shape();
   EXPECT_GT(make_comm_plan(fp16_cfg, shape, sim::rtx_2080()).bus_efficiency,
             make_comm_plan(base, shape, sim::rtx_2080()).bus_efficiency);
@@ -134,7 +139,7 @@ TEST(Strategy, Fp16BonusRaisesEfficiency) {
 
 TEST(Strategy, FactoriesMatchConfig) {
   CommConfig config;
-  config.fp16 = true;
+  config.codec = CodecKind::kFp16;
   config.backend = BackendKind::kBroker;
   EXPECT_EQ(make_codec(config)->name(), "fp16");
   // COMM-P is a timing-model setting: the plan pays broker_penalty, while
@@ -146,7 +151,7 @@ TEST(Strategy, FactoriesMatchConfig) {
                   make_comm_plan(config, shape, sim::rtx_2080()).bus_efficiency,
               config.broker_penalty, 1e-9);
   EXPECT_EQ(make_backend(config)->name(), "COMM");
-  config.fp16 = false;
+  config.codec = CodecKind::kFp32;
   config.backend = BackendKind::kShm;
   EXPECT_EQ(make_codec(config)->name(), "fp32");
   EXPECT_EQ(make_backend(config)->name(), "COMM");
@@ -154,15 +159,13 @@ TEST(Strategy, FactoriesMatchConfig) {
   EXPECT_EQ(make_backend(config, /*worker=*/1)->name(), "COMM-T");
 }
 
-TEST(Strategy, CodecKindDefersToLegacyFp16Flag) {
-  CommConfig config;
-  config.fp16 = true;
-  EXPECT_EQ(effective_codec(config), CodecKind::kFp16);
-  config.fp16 = false;
-  EXPECT_EQ(effective_codec(config), CodecKind::kFp32);
-  // An explicit kind wins over the flag.
-  config.codec = CodecKind::kTwoBit;
-  EXPECT_EQ(effective_codec(config), CodecKind::kTwoBit);
+TEST(Strategy, DefaultCodecIsFp16) {
+  // Strategy 2 is on by default: both directions ride binary16.
+  const CommConfig config;
+  EXPECT_EQ(config.codec, CodecKind::kFp16);
+  EXPECT_EQ(pull_codec_kind(config), CodecKind::kFp16);
+  EXPECT_EQ(make_codec(config)->name(), "fp16");
+  EXPECT_EQ(make_pull_codec(config)->name(), "fp16");
 }
 
 TEST(Strategy, TwoBitIsPushOnlyPullFallsBackToFp16) {
@@ -206,7 +209,7 @@ TEST(Strategy, CommPlanSplitsCodecsByDirection) {
 
 TEST(Strategy, CompressedCodecsEarnTheBusBonus) {
   CommConfig fp32_cfg;
-  fp32_cfg.fp16 = false;
+  fp32_cfg.codec = CodecKind::kFp32;
   const auto shape = netflix_shape();
   const double base =
       make_comm_plan(fp32_cfg, shape, sim::rtx_2080()).bus_efficiency;

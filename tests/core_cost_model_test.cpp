@@ -22,7 +22,7 @@ sim::EpochConfig config_for(const sim::DatasetShape& shape,
   cfg.shape = shape;
   cfg.server = sim::ServerSpec{};
   comm::CommConfig comm;
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   const auto platform = sim::paper_workstation_hetero();
   for (std::size_t i = 0; i < shares.size(); ++i) {
     sim::WorkerPlan wp;
@@ -38,7 +38,7 @@ TEST(CostModel, WorkerTimeHasPullComputePushTerms) {
   const auto shape = netflix_shape();
   const auto dev = sim::rtx_2080();
   comm::CommConfig comm;
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   const auto plan = comm::make_comm_plan(comm, shape, dev);
   const double t = predicted_worker_seconds(dev, shape, 0.5, plan);
   const double comp = sim::compute_seconds(dev, shape, 0.5);
@@ -53,7 +53,7 @@ TEST(CostModel, StreamsDividePredictedCommTerm) {
   const auto shape = netflix_shape();
   const auto dev = sim::rtx_2080();
   comm::CommConfig comm;
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   auto plan = comm::make_comm_plan(comm, shape, dev);
   const double t1 = predicted_worker_seconds(dev, shape, 0.5, plan);
   plan.streams = 4;

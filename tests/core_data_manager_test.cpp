@@ -16,7 +16,7 @@ sim::DatasetShape wide_shape() { return {"", 2000, 90000, 4000000, 32}; }
 
 DataManager manager_for(const sim::DatasetShape& shape) {
   comm::CommConfig comm;
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   return DataManager(sim::paper_workstation_hetero(), shape, comm);
 }
 
@@ -122,7 +122,7 @@ TEST(DataManager, IndependentSecondsMatchPerfModel) {
 TEST(DataManager, HighLambdaForcesDp2UnderAuto) {
   // Cranking lambda makes even Netflix's sync "non-negligible".
   comm::CommConfig comm;
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   DataManagerOptions options;
   options.lambda = 1e9;
   DataManager mgr(sim::paper_workstation_hetero(), netflix_shape(), comm,

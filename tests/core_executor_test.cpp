@@ -230,8 +230,7 @@ void run_epochs(Engine& e, ExecMode mode, std::uint32_t epochs) {
   opts.mode = mode;
   EpochExecutor exec(opts, e.workers.size());
   for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
-    exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f,
-                   nullptr);
+    exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f);
   }
 }
 
@@ -252,7 +251,9 @@ TEST(EpochEngine, ParallelComputesSerialsFloats) {
   for (const auto& streams : {std::vector<std::uint32_t>{1, 1, 1, 1},
                               std::vector<std::uint32_t>{1, 3, 1, 2}}) {
     for (const bool sparse : {false, true}) {
-      for (const auto codec : {comm::CodecKind::kFp16, comm::CodecKind::kInt8}) {
+      for (const auto codec :
+           {comm::CodecKind::kFp32, comm::CodecKind::kFp16,
+            comm::CodecKind::kInt8, comm::CodecKind::kTwoBit}) {
         for (const std::uint32_t passes : {1u, 2u}) {
           cases.push_back({streams, sparse, codec, passes});
         }
@@ -286,8 +287,7 @@ TEST(EpochEngine, FailedPhaseMergesNothing) {
     EpochExecutor exec(opts, e.workers.size());
 
     runtime.injector().begin_epoch(0);
-    exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f,
-                   nullptr);
+    exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f);
     const std::vector<float> before = copy_of(e.server->model().q_data());
     const std::uint64_t merges = e.server->sync_count();
 
@@ -295,8 +295,7 @@ TEST(EpochEngine, FailedPhaseMergesNothing) {
     // other workers still pull and compute, but nobody merges.
     runtime.injector().begin_epoch(1);
     try {
-      exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f,
-                     nullptr);
+      exec.run_epoch(e.workers, e.alive, *e.server, 0.01f, 0.02f, 0.02f);
       FAIL() << "expected the kill to surface";
     } catch (const fault::WorkerFault& dead) {
       EXPECT_EQ(dead.worker(), 1u);
@@ -366,7 +365,7 @@ HccMfConfig quad_cpu_config(const data::DatasetSpec& spec) {
   HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::combo(
       "quad-cpu", {"6242-24T", "6242-24T", "6242-24T", "6242-24T"});
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;

@@ -36,7 +36,7 @@ HccMfConfig base_config(const data::DatasetSpec& spec) {
   HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   // Toy-scale functional runs: the fixed per-epoch management cost would
   // dominate a sub-millisecond epoch and distort the partition profiling.
@@ -119,7 +119,7 @@ TEST(HccMf, Fp16HalvesFunctionalWireBytes) {
   const SmallProblem pr = netflix_small();
   HccMfConfig fp32 = base_config(pr.spec);
   HccMfConfig fp16 = base_config(pr.spec);
-  fp16.comm.fp16 = true;
+  fp16.comm.codec = comm::CodecKind::kFp16;
   const TrainReport r32 = HccMf(fp32).train(pr.train);
   const TrainReport r16 = HccMf(fp16).train(pr.train);
   EXPECT_EQ(r32.comm_totals.wire_bytes, 2u * r16.comm_totals.wire_bytes);
@@ -130,7 +130,7 @@ TEST(HccMf, Fp16DoesNotHurtConvergence) {
   const SmallProblem pr = netflix_small();
   HccMfConfig fp32 = base_config(pr.spec);
   HccMfConfig fp16 = base_config(pr.spec);
-  fp16.comm.fp16 = true;
+  fp16.comm.codec = comm::CodecKind::kFp16;
   const TrainReport r32 = HccMf(fp32).train(pr.train, &pr.test);
   const TrainReport r16 = HccMf(fp16).train(pr.train, &pr.test);
   EXPECT_NEAR(r16.epochs.back().test_rmse, r32.epochs.back().test_rmse, 0.05);
@@ -154,7 +154,7 @@ TEST(HccMf, WideMatrixIsTransposedTransparently) {
 TEST(HccMf, SimulateMatchesPaperScaleWithoutData) {
   HccMfConfig config;
   config.sgd.epochs = 20;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = "netflix";
   HccMf framework(config);
@@ -184,7 +184,7 @@ TEST(HccMf, EpochReportsAreCumulative) {
 
 TEST(HccMf, PlanForExposesDecision) {
   HccMfConfig config;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   HccMf framework(config);
   const Plan plan = framework.plan_for({"r1", 1948883, 1101750, 115579437, 128});

@@ -130,7 +130,7 @@ HccMfConfig workstation_config(const data::DatasetSpec& spec,
   HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 6;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = spec.name;
   config.exec.mode = mode;

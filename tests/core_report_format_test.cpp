@@ -89,7 +89,7 @@ TEST(JsonReportSchema, StampsScheduleMetaFromArgv) {
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string doc = buf.str();
-  EXPECT_NE(doc.find("\"schema\":3"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"schema\":4"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"schedule\":\"tiled\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"tile_kb\":512"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"pin\":1"), std::string::npos) << doc;
@@ -109,7 +109,10 @@ TEST(JsonReportSchema, DefaultsToAsIsUnpinned) {
   const std::string doc = buf.str();
   EXPECT_NE(doc.find("\"schedule\":\"asis\""), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"pin\":0"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"codec\":\"auto\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"codec\":\"fp16\""), std::string::npos) << doc;
+  // Every document stamps the host it measured on.
+  EXPECT_NE(doc.find("\"host_cpus\":"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"isa\":\""), std::string::npos) << doc;
 }
 
 }  // namespace

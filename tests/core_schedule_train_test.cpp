@@ -37,7 +37,7 @@ HccMfConfig base_config(const data::DatasetSpec& spec) {
   HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 6;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;
   config.dataset_name = spec.name;

@@ -15,7 +15,7 @@ namespace {
 
 comm::CommConfig fp32_comm() {
   comm::CommConfig c;
-  c.fp16 = false;
+  c.codec = comm::CodecKind::kFp32;
   return c;
 }
 
@@ -27,6 +27,11 @@ mf::FactorModel small_model(std::uint32_t users = 10, std::uint32_t items = 6,
   return m;
 }
 
+/// Weight 1 for every item: the merge applies each delta in full.
+std::vector<float> unit_weights(const Server& server) {
+  return std::vector<float>(server.model().items(), 1.0f);
+}
+
 TEST(Server, SyncAppliesDeltaExactly) {
   Server server(small_model(), fp32_comm());
   const std::vector<float> before(server.model().q_data().begin(),
@@ -35,7 +40,7 @@ TEST(Server, SyncAppliesDeltaExactly) {
   std::vector<float> pushed = before;
   pushed[5] += 0.25f;
   pushed[11] -= 0.5f;
-  server.sync_q(pushed, snapshot);
+  server.sync_q(pushed, snapshot, unit_weights(server));
   EXPECT_FLOAT_EQ(server.model().q_data()[5], before[5] + 0.25f);
   EXPECT_FLOAT_EQ(server.model().q_data()[11], before[11] - 0.5f);
   EXPECT_FLOAT_EQ(server.model().q_data()[0], before[0]);
@@ -50,8 +55,9 @@ TEST(Server, TwoWorkerDeltasAccumulate) {
   std::vector<float> push_b = snapshot;
   push_a[3] += 1.0f;
   push_b[3] += 2.0f;
-  server.sync_q(push_a, snapshot);
-  server.sync_q(push_b, snapshot);
+  const std::vector<float> ones = unit_weights(server);
+  server.sync_q(push_a, snapshot, ones);
+  server.sync_q(push_b, snapshot, ones);
   // WAW race resolved: both updates land, none is lost.
   EXPECT_FLOAT_EQ(server.model().q_data()[3], snapshot[3] + 3.0f);
   EXPECT_EQ(server.sync_count(), 2u);
@@ -87,7 +93,7 @@ TEST(Server, ItemWeightsScaleEachRowsDelta) {
 
 TEST(Server, RoundtripPQuantizesUnderFp16) {
   comm::CommConfig fp16;
-  fp16.fp16 = true;
+  fp16.codec = comm::CodecKind::kFp16;
   Server server(small_model(), fp16);
   server.model().p(0)[0] = 0.123456789f;
   server.roundtrip_p_through_codec();
@@ -119,7 +125,7 @@ TEST(Worker, PullComputePushRoundTripUpdatesGlobalModel) {
   TrainWorker worker(0, "test-dev", two_row_slice(0, 4.0f), fp32_comm());
   for (int epoch = 0; epoch < 30; ++epoch) {
     worker.pull(server);
-    worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f, nullptr);
+    worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f);
     worker.push(server);
   }
   const double after = mf::rmse(server.model(), two_row_slice(0, 4.0f));
@@ -132,7 +138,7 @@ TEST(Worker, OnlyTouchesItsOwnPRows) {
                                     server.model().p_data().end());
   TrainWorker worker(0, "dev", two_row_slice(4, 3.0f), fp32_comm());
   worker.pull(server);
-  worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f, nullptr);
+  worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f);
   worker.push(server);
   const auto p_after = server.model().p_data();
   const std::uint32_t k = server.model().k();
@@ -155,12 +161,12 @@ TEST(Worker, ChunkedComputeCoversAllEntries) {
   TrainWorker w3(0, "dev", two_row_slice(0, 4.0f), fp32_comm(), 3);
 
   w1.pull(s1);
-  w1.compute_chunk(s1, 0, 0.05f, 0.0f, 0.0f, nullptr);
+  w1.compute_chunk(s1, 0, 0.05f, 0.0f, 0.0f);
   w1.push(s1);
 
   w3.pull(s3);
   for (std::uint32_t c = 0; c < 3; ++c) {
-    w3.compute_chunk(s3, c, 0.05f, 0.0f, 0.0f, nullptr);
+    w3.compute_chunk(s3, c, 0.05f, 0.0f, 0.0f);
   }
   w3.push(s3);
 
@@ -183,13 +189,13 @@ TEST(Worker, CommStatsCountWireTraffic) {
 
 TEST(Worker, Fp16PushStillConverges) {
   comm::CommConfig fp16;
-  fp16.fp16 = true;
+  fp16.codec = comm::CodecKind::kFp16;
   Server server(small_model(), fp16);
   TrainWorker worker(0, "dev", two_row_slice(0, 4.0f), fp16);
   const double before = mf::rmse(server.model(), two_row_slice(0, 4.0f));
   for (int epoch = 0; epoch < 30; ++epoch) {
     worker.pull(server);
-    worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f, nullptr);
+    worker.compute_chunk(server, 0, 0.05f, 0.001f, 0.001f);
     worker.push(server);
   }
   EXPECT_LT(mf::rmse(server.model(), two_row_slice(0, 4.0f)), 0.6 * before);

@@ -51,7 +51,7 @@ TEST(Tuner, PicksPayloadReductionAndFp16) {
     const TuneResult result =
         tune_comm(sim::paper_workstation_hetero(), shape);
     EXPECT_TRUE(result.best.comm.reduce_payload) << shape.name;
-    EXPECT_TRUE(result.best.comm.fp16) << shape.name;
+    EXPECT_EQ(result.best.comm.codec, comm::CodecKind::kFp16) << shape.name;
   }
 }
 
@@ -68,7 +68,7 @@ TEST(Tuner, SummaryMentionsDecisions) {
       tune_comm(sim::paper_workstation_hetero(), netflix_shape());
   const std::string s = result.summary();
   EXPECT_NE(s.find("payload="), std::string::npos);
-  EXPECT_NE(s.find("fp16="), std::string::npos);
+  EXPECT_NE(s.find("codec=fp16"), std::string::npos);
   EXPECT_NE(s.find("streams="), std::string::npos);
   EXPECT_NE(s.find("strategy="), std::string::npos);
 }
@@ -80,7 +80,7 @@ TEST(Tuner, DeterministicAcrossRuns) {
       tune_comm(sim::paper_workstation_hetero(), r1star_shape());
   EXPECT_EQ(a.best.epoch_seconds, b.best.epoch_seconds);
   EXPECT_EQ(a.best.comm.streams, b.best.comm.streams);
-  EXPECT_EQ(a.best.comm.fp16, b.best.comm.fp16);
+  EXPECT_EQ(a.best.comm.codec, b.best.comm.codec);
 }
 
 }  // namespace

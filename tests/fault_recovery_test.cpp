@@ -42,7 +42,7 @@ HccMfConfig base_config(const data::DatasetSpec& spec) {
   HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.platform.workers.resize(3);
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;

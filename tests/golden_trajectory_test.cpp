@@ -49,7 +49,7 @@ core::HccMfConfig node_config(const data::DatasetSpec& spec) {
   core::HccMfConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.platform.workers.resize(3);
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;
@@ -62,7 +62,7 @@ cluster::HierarchicalConfig cluster_config(const data::DatasetSpec& spec) {
   cluster::HierarchicalConfig config;
   config.sgd = mf::SgdConfig::for_dataset(spec.reg_lambda, 0.01f, /*k=*/16);
   config.sgd.epochs = 8;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.cluster =
       cluster::workstation_cluster(3, cluster::ethernet_100g());
   config.dataset_name = spec.name;

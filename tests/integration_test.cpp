@@ -53,7 +53,7 @@ TEST(Integration, HccBeatsBaselinesOnVirtualClockAndMatchesQuality) {
   // per-epoch management cost, which would dominate microsecond epochs).
   core::HccMfConfig config;
   config.sgd = sgd;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;
   config.dataset_name = p.spec.name;
@@ -98,7 +98,7 @@ TEST(Integration, Dp1BeatsDp0OnComputeBoundShape) {
   // epoch time is no worse than DP0's — the paper measures ~10-12% better.
   core::HccMfConfig config;
   config.sgd.epochs = 20;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = "netflix";
   const sim::DatasetShape shape{"netflix", 480190, 17771, 99072112, 128};
@@ -115,7 +115,7 @@ TEST(Integration, Dp2BeatsDp1OnSyncBoundShape) {
   // ends the epoch sooner than DP1 (~12% in the paper).
   core::HccMfConfig config;
   config.sgd.epochs = 20;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = "r1star";
   const sim::DatasetShape shape{"r1star", 1948883, 1101750, 199999997, 128};
@@ -132,7 +132,7 @@ TEST(Integration, EvenPartitionShowsShortBoardEffect) {
   // platform is visibly slower than DP1.
   core::HccMfConfig config;
   config.sgd.epochs = 20;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = "netflix";
   const sim::DatasetShape shape{"netflix", 480190, 17771, 99072112, 128};
@@ -151,7 +151,7 @@ TEST(Integration, StreamsHelpCommBoundShape) {
   config.sgd.epochs = 20;
   config.platform = sim::combo("2GPUs", {"2080S", "2080"});
   config.dataset_name = "movielens";
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   const sim::DatasetShape shape{"movielens", 138494, 131263, 20000260, 128};
 
   config.comm.streams = 1;
@@ -165,7 +165,7 @@ TEST(Integration, BrokerBackendInflatesCommTime) {
   // Table 5: COMM-P is several times slower at equal payload.
   core::HccMfConfig config;
   config.sgd.epochs = 20;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   config.platform = sim::paper_workstation_hetero();
   config.dataset_name = "netflix";
   const sim::DatasetShape shape{"netflix", 480190, 17771, 99072112, 128};

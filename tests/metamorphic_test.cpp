@@ -10,6 +10,7 @@
 #include "core/hccmf.hpp"
 #include "core/server.hpp"
 #include "core/tuner.hpp"
+#include "core/worker.hpp"
 #include "data/datasets.hpp"
 #include "sim/timing.hpp"
 
@@ -35,7 +36,7 @@ TEST(Metamorphic, WorkerOrderPermutationPermutesTimings) {
   cfg.shape = netflix_shape();
   cfg.jitter = 0.0;
   comm::CommConfig comm;
-  comm.fp16 = false;
+  comm.codec = comm::CodecKind::kFp32;
   for (const auto& [dev, share] :
        std::vector<std::pair<sim::DeviceSpec, double>>{
            {sim::rtx_2080s(), 0.5}, {sim::xeon_6242_24t(), 0.3},
@@ -65,9 +66,9 @@ TEST(Metamorphic, Fp16ExactlyHalvesWireForEveryDataset) {
   for (const auto& spec : data::paper_datasets()) {
     const sim::DatasetShape shape{spec.name, spec.m, spec.n, spec.nnz, 128};
     comm::CommConfig fp32;
-    fp32.fp16 = false;
+    fp32.codec = comm::CodecKind::kFp32;
     comm::CommConfig fp16;
-    fp16.fp16 = true;
+    fp16.codec = comm::CodecKind::kFp16;
     const auto a = comm::make_comm_plan(fp32, shape, sim::rtx_2080());
     const auto b = comm::make_comm_plan(fp16, shape, sim::rtx_2080());
     EXPECT_NEAR(a.pull_bytes / b.pull_bytes, 2.0, 1e-12) << spec.name;
@@ -81,7 +82,7 @@ TEST(Metamorphic, SparseLeavesPOnlyPayloadAlone) {
   // must be unaffected.
   const sim::DatasetShape wide{"", 2000, 90000, 4000000, 32};
   comm::CommConfig dense;
-  dense.fp16 = false;
+  dense.codec = comm::CodecKind::kFp32;
   comm::CommConfig sparse = dense;
   sparse.sparse = true;
   const auto a = comm::make_comm_plan(dense, wide, sim::rtx_2080(), false, 0.1);
@@ -105,27 +106,34 @@ TEST(Metamorphic, SingleWorkerPlatformAlwaysGetsEverything) {
   }
 }
 
-TEST(Metamorphic, UniformItemWeightsMatchScalarMerge) {
-  mf::FactorModel a(4, 6, 3);
+TEST(Metamorphic, UnweightedWorkerMergesAtUnitWeight) {
+  // A worker given no item weights merges every item at weight 1: it must
+  // compute exactly the floats of a worker given all-ones weights.
+  const data::DatasetSpec spec = data::netflix_spec().scaled(0.001);
+  const data::RatingMatrix slice =
+      data::generate(spec, data::GeneratorConfig{});
+  mf::FactorModel model(slice.rows(), slice.cols(), 8);
   util::Rng rng(5);
-  a.init_random(rng, 3.0f);
-  mf::FactorModel b = a;
-
-  comm::CommConfig comm;
-  comm.fp16 = false;
-  core::Server sa(std::move(a), comm);
-  core::Server sb(std::move(b), comm);
-
-  std::vector<float> snapshot(sa.model().q_data().begin(),
-                              sa.model().q_data().end());
-  std::vector<float> pushed = snapshot;
-  for (auto& v : pushed) v += 0.125f;
-
-  sa.sync_q(pushed, snapshot, 0.4f);
-  const std::vector<float> weights(6, 0.4f);
-  sb.sync_q(pushed, snapshot, std::span<const float>(weights));
-  for (std::size_t j = 0; j < snapshot.size(); ++j) {
-    EXPECT_FLOAT_EQ(sa.model().q_data()[j], sb.model().q_data()[j]);
+  model.init_random(rng, 3.0f);
+  const comm::CommConfig comm;
+  core::Server sa(model, comm);
+  core::Server sb(std::move(model), comm);
+  core::TrainWorker plain(0, "cpu", slice, comm);
+  core::TrainWorker ones(0, "cpu", slice, comm);
+  ones.set_item_weights(std::vector<float>(slice.cols(), 1.0f));
+  auto epoch = [](core::TrainWorker& worker, core::Server& server) {
+    worker.pull(server);
+    worker.compute_chunk(server, 0, 0.01f, 0.02f, 0.02f);
+    worker.push(server);
+  };
+  for (int e = 0; e < 3; ++e) {
+    epoch(plain, sa);
+    epoch(ones, sb);
+  }
+  const auto qa = sa.model().q_data();
+  const auto qb = sb.model().q_data();
+  for (std::size_t j = 0; j < qa.size(); ++j) {
+    ASSERT_EQ(qa[j], qb[j]) << "index " << j;
   }
 }
 

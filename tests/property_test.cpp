@@ -104,13 +104,13 @@ TEST_P(CommOptProperty, EachStrategyReducesCommTime) {
   config.dataset_name = shape.name;
 
   config.comm.reduce_payload = false;
-  config.comm.fp16 = false;
+  config.comm.codec = comm::CodecKind::kFp32;
   const double pq = core::HccMf(config).simulate(shape).comm_virtual_s;
 
   config.comm.reduce_payload = true;
   const double q_only = core::HccMf(config).simulate(shape).comm_virtual_s;
 
-  config.comm.fp16 = true;
+  config.comm.codec = comm::CodecKind::kFp16;
   const double half_q = core::HccMf(config).simulate(shape).comm_virtual_s;
 
   EXPECT_LT(q_only, pq);
@@ -190,7 +190,7 @@ TEST_P(ConvergenceProperty, ScaledDatasetConverges) {
   const float lr = 0.01f * (5.0f / std::max(5.0f, spec.rating_max));
   config.sgd = mf::SgdConfig::for_dataset(0.02f, lr, 8);
   config.sgd.epochs = 5;
-  config.comm.fp16 = true;
+  config.comm.codec = comm::CodecKind::kFp16;
   config.comm.streams = 2;
   config.platform = sim::paper_workstation_hetero();
   for (auto& w : config.platform.workers) w.epoch_overhead_s = 0.0;
